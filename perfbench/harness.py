@@ -6,6 +6,7 @@ pin it down without building anything."""
 import hashlib
 import math
 import re
+import statistics
 from collections import defaultdict
 
 # ---------------------------------------------------------------------------
@@ -27,6 +28,13 @@ def tail_percentile(values):
         if rank >= 1 and n - rank >= TAIL_MIN_BEYOND:
             return p, s[rank - 1]
     return None
+
+
+def mean_of_medians(groups):
+    """The mean over groups of each group's median: one population's
+    typical invocation, averaged over the populations of a run."""
+    medians = [statistics.median(g) for g in groups]
+    return sum(medians) / len(medians)
 
 
 def digest(data):

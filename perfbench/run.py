@@ -11,7 +11,8 @@ any `.rs` file under `crates/`, then measures for `--seconds` seconds.
 
 `--trace 0` times fresh CLI processes as a closed loop: one client runs
 the workload's invocations back to back, each process using at most
-`nproc` worker threads. Every invocation's output is checked. It reports
+`nproc` worker threads, cycling through the workload's seeded
+populations. Every invocation's output is checked. It reports
 the end-to-end metrics (`wall_s`, `points_per_s`, `cpu_s`, `peak_rss_mb`,
 `setup_s`).
 
@@ -46,13 +47,17 @@ ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "perfbench" / "results"
 
 # Population sizes: large enough that per-point costs dominate process
-# start-up, and that one seed's population costs about what another's
-# does (cosmic scenario costs vary widely; at 500 points the spread
-# between seeds was twice that at 2000).
+# start-up, small enough that a run holds dozens of invocations, so the
+# median rides over bursts of load on a shared host.
 BABY_COUNT = 2000
-COSMIC_COUNT = 2000
-SETUP_PROBES = 21
-MIN_ITERATIONS = 5
+COSMIC_COUNT = 500
+# A run cycles through this many populations: the seed itself and
+# companions derived from it. One population's cost depends on what its
+# seed samples (cosmic training scenarios cost ~50x inference ones); the
+# mean over several populations depends on it far less.
+POPULATIONS = {"paper": 1, "gen-baby": 4, "gen-cosmic": 8}
+SETUP_PROBES = 51
+MIN_ROUNDS = 5
 REFERENCE_RUNS = 3
 INVOCATION_TIMEOUT_S = 120
 PAPER_ARTIFACTS = 11
@@ -77,6 +82,13 @@ class Refused(Exception):
 
 def gen_checks(count):
     return lambda out, err: h.check_run_report("gen", err, count) + h.check_invariants(out)
+
+
+def population_seeds(name, seed):
+    """The `--seed` of each population a run cycles through: the seed
+    itself first, then companions in disjoint ranges of the u64 seed
+    space. `paper` ignores the seed and has one population."""
+    return [seed + k * 2**32 for k in range(POPULATIONS[name])]
 
 
 def workload_plan(name, seed, run_dir):
@@ -155,7 +167,6 @@ def build(with_tracer):
         if binary.stat().st_mtime < newest:
             raise Refused(f"{binary} is older than {path}; refusing to measure a stale binary")
     return [binary for binary, _ in binaries]
-    return binaries
 
 
 def commit():
@@ -303,36 +314,45 @@ def measure(name, seed, seconds, binary, scratch, tally):
     while len(setup) < SETUP_PROBES:
         setup_probe(binary, tally, setup, listing)
 
+    seeds = population_seeds(name, seed)
     # One untimed iteration first, so page-cache warm-up is not sampled.
-    points, _, _, _, reference = checked_iteration(binary, name, seed, scratch, tally, None)
-    walls, cpus, rsss = [], [], []
-    while len(walls) < MIN_ITERATIONS or time.perf_counter() < deadline:
-        # Set-up probes run between iterations too, so they sample the
-        # same stretch of machine load as the workload does.
-        setup_probe(binary, tally, setup, listing)
-        _, wall, cpu, rss, _ = checked_iteration(binary, name, seed, scratch, tally, reference)
-        walls.append(wall)
-        cpus.append(cpu)
-        rsss.append(rss)
+    points, _, _, _, first = checked_iteration(binary, name, seeds[0], scratch, tally, None)
+    references = {seeds[0]: first}
+    walls, cpus = ({s: [] for s in seeds} for _ in range(2))
+    rsss = []
+    rounds = 0
+    while rounds < MIN_ROUNDS or time.perf_counter() < deadline:
+        for s in seeds:
+            # Set-up probes run between invocations too, so they sample
+            # the same stretch of machine load as the workload does.
+            setup_probe(binary, tally, setup, listing)
+            _, wall, cpu, rss, stdout = checked_iteration(
+                binary, name, s, scratch, tally, references.get(s))
+            references.setdefault(s, stdout)
+            walls[s].append(wall)
+            cpus[s].append(cpu)
+            rsss.append(rss)
+        rounds += 1
 
-    wall = statistics.median(walls)
+    wall = h.mean_of_medians(walls.values())
     metrics = {
         "wall_s": wall,
         "points_per_s": points / wall,
-        "cpu_s": statistics.median(cpus),
+        "cpu_s": h.mean_of_medians(cpus.values()),
         # The mean of per-iteration peaks: stable, yet it still shows a
         # change confined to a few invocations.
         "peak_rss_mb": sum(rsss) / len(rsss) / 1024,
         "setup_s": statistics.median(setup),
     }
-    tail = h.tail_percentile(walls)
+    pooled = [w for ws in walls.values() for w in ws]
+    tail = h.tail_percentile(pooled)
     tail_text = f"p{tail[0]:g} {tail[1]:.4f} s" if tail else "no percentile has 10 samples beyond it"
     notes = {
-        "wall_s": f"({tail_text}; n={len(walls)})",
+        "wall_s": f"({tail_text}; n={len(pooled)} over {len(seeds)} population(s))",
         "setup_s": f"(`gen --list-tiers`; n={len(setup)})",
         "peak_rss_mb": f"(max {max(rsss) / 1024:.1f} MB)",
     }
-    return metrics, notes, h.digest(reference)
+    return metrics, notes, h.digest(b"".join(references[s] for s in seeds))
 
 
 def trace(name, seed, seconds, binary, tracer, scratch, tally):

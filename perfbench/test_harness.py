@@ -74,6 +74,18 @@ class TailPercentile(unittest.TestCase):
         self.assertEqual(h.tail_percentile(list(range(100, 0, -1))), (90.0, 90))
 
 
+class Populations(unittest.TestCase):
+    def test_mean_of_medians_weights_each_population_once(self):
+        self.assertEqual(h.mean_of_medians([[1, 2, 100], [4, 4]]), 3)
+
+    def test_seeds_are_the_seed_first_and_distinct_across_seeds(self):
+        self.assertEqual(run.population_seeds("paper", 7), [7])
+        a, b = run.population_seeds("gen-baby", 7), run.population_seeds("gen-baby", 8)
+        self.assertEqual(a[0], 7)
+        self.assertEqual(len(set(a + b)), 2 * run.POPULATIONS["gen-baby"])
+        self.assertEqual(a, run.population_seeds("gen-cosmic", 7)[: len(a)])
+
+
 class OutputChecks(unittest.TestCase):
     def test_clean_outputs_pass(self):
         self.assertEqual(h.check_claims(CHECK_OK), [])
