@@ -14,16 +14,40 @@
 //! 2. the `DABENCH_JOBS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
+//! Parallelism is one level deep: a `par_map` called on one of
+//! `par_map`'s own worker threads runs inline on that thread, so nested
+//! sweeps (a suite of experiments that each sweep their points) never
+//! spawn a second tier of threads onto cores the first tier already
+//! fills.
+//!
 //! Everything is dependency-free: `std::thread::scope` plus an atomic
 //! work-stealing index, no channels, no rayon.
 
 use crate::supervise::panic_message;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Explicit worker-count override; 0 means "not set".
 static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on every thread [`par_map_with`] spawns: a `par_map` called
+    /// there runs inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a [`par_map`] worker.
+pub(crate) fn is_worker() -> bool {
+    IN_WORKER.get()
+}
+
+/// Mark the calling thread as a [`par_map`] worker (or not). Threads that
+/// run a worker's work on its behalf inherit the mark with this.
+pub(crate) fn set_worker(on: bool) {
+    IN_WORKER.set(on);
+}
 
 /// Override the worker count for all subsequent [`par_map`] calls.
 ///
@@ -59,7 +83,8 @@ pub fn jobs() -> usize {
 /// Output is byte-identical to `items.iter().map(f).collect()` for any
 /// pure `f`, whatever the worker count: scheduling only changes *when*
 /// each point is evaluated, never where its result lands. Uses the
-/// worker count from [`jobs`].
+/// worker count from [`jobs`]; on a `par_map` worker thread it runs
+/// inline.
 ///
 /// # Panics
 ///
@@ -76,7 +101,8 @@ where
 }
 
 /// [`par_map`] with an explicit worker count, bypassing the global
-/// setting (useful in tests that must not race on [`set_jobs`]).
+/// setting (useful in tests that must not race on [`set_jobs`]). Called
+/// on a `par_map` worker thread, it runs inline whatever `workers` says.
 ///
 /// # Panics
 ///
@@ -95,7 +121,7 @@ where
     // the merged trace is a function of the input order, not scheduling.
     let obs_fork = crate::obs::fork();
     let call = |i: usize, item: &T| obs_fork.enter(i as u64, || f(item));
-    if workers <= 1 {
+    if workers <= 1 || is_worker() {
         return items
             .iter()
             .enumerate()
@@ -117,6 +143,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    set_worker(true);
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -245,6 +272,43 @@ mod tests {
         .unwrap_err();
         let msg = panic_message(caught.as_ref());
         assert!(msg.contains("point 3 panicked"), "{msg}");
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_worker_in_input_order() {
+        let outer: Vec<u32> = (0..4).collect();
+        let inner: Vec<u32> = (0..16).collect();
+        let runs = par_map_with(2, &outer, |_| {
+            let worker = std::thread::current().id();
+            let nested = par_map_with(4, &inner, |&j| (j * 3, std::thread::current().id()));
+            (worker, nested)
+        });
+        for (worker, nested) in runs {
+            let values: Vec<u32> = nested.iter().map(|&(v, _)| v).collect();
+            assert_eq!(values, inner.iter().map(|j| j * 3).collect::<Vec<_>>());
+            assert!(nested.iter().all(|&(_, id)| id == worker), "{nested:?}");
+        }
+    }
+
+    #[test]
+    fn nested_panics_name_both_points() {
+        let outer: Vec<u32> = (0..4).collect();
+        let inner: Vec<u32> = (0..8).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map_with(2, &outer, |&i| {
+                let worker = std::thread::current().id();
+                par_map_with(4, &inner, |&j| {
+                    let inline = std::thread::current().id() == worker;
+                    assert!(!(i == 2 && j == 5), "boom at {i}/{j}, inline={inline}");
+                    j
+                })
+            });
+        }))
+        .unwrap_err();
+        assert_eq!(
+            panic_message(caught.as_ref()),
+            "par_map: point 2 panicked: par_map: point 5 panicked: boom at 2/5, inline=true"
+        );
     }
 
     #[test]

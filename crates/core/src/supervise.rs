@@ -206,9 +206,13 @@ where
     };
     let (tx, rx) = mpsc::channel();
     let point = Arc::clone(f);
+    // The point runs here on behalf of the calling thread, so it keeps
+    // that thread's one-level parallelism rule.
+    let worker = crate::parallel::is_worker();
     std::thread::Builder::new()
         .name("dabench-supervised-point".to_owned())
         .spawn(move || {
+            crate::parallel::set_worker(worker);
             let result = catch_unwind(AssertUnwindSafe(|| point(attempt_seed)));
             let _ = tx.send(result);
         })
@@ -1205,6 +1209,34 @@ mod tests {
                 retries: 0
             }
         );
+    }
+
+    #[test]
+    fn deadline_thread_keeps_the_one_level_rule_of_its_worker() {
+        // Under a deadline the body runs on a watchdog-spawned thread, not
+        // on the `par_map` worker; a sweep nested in it must still run
+        // inline on that one thread.
+        let policy = SupervisePolicy {
+            deadline: Some(Duration::from_secs(30)),
+            ..SupervisePolicy::default()
+        };
+        let outer: Vec<u64> = (0..4).collect();
+        let inner: Vec<u64> = (0..8).collect();
+        let sweeps = crate::par_map_with(2, &outer, |&i| {
+            let outcome = supervise_point("nested", i, &policy, {
+                let inner = inner.clone();
+                move |_| {
+                    let body = std::thread::current().id();
+                    let ids = crate::par_map_with(4, &inner, |&j| (j, std::thread::current().id()));
+                    Ok((body, ids))
+                }
+            });
+            outcome.value().cloned().expect("point completes")
+        });
+        for (body, ids) in sweeps {
+            assert_eq!(ids.iter().map(|&(j, _)| j).collect::<Vec<_>>(), inner);
+            assert!(ids.iter().all(|&(_, id)| id == body), "{ids:?} vs {body:?}");
+        }
     }
 
     #[test]

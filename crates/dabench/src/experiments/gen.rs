@@ -20,7 +20,7 @@ use dabench_core::gen::{
     Violation,
 };
 use dabench_core::{
-    catch_labeled, max_admissible_batch, par_map, profile_inference, AdmissionProbe, Degradable,
+    catch_labeled, max_admissible_batch, profile_inference, AdmissionProbe, Degradable,
     ParallelStrategy, Platform, PlatformError, Scalable,
 };
 use dabench_faults::{FaultPlan, PlanSpec, PlatformKind};
@@ -231,21 +231,25 @@ fn infer_obs(platform: &str, s: &Scenario) -> GenObs {
     }
 }
 
-/// Evaluate `scenario` on all four platforms. A platform whose model
+/// Evaluate `scenario` on all four platforms, one after another: the
+/// sweep over scenarios is the parallel level. A platform whose model
 /// panics is recorded as a failed observation, never propagated — one
 /// buggy corner of a platform model must not take down a population.
 #[must_use]
 pub fn evaluate(scenario: &Scenario) -> Vec<GenObs> {
-    par_map(&PLATFORMS, |&platform| {
-        let label = format!("{} {platform}", scenario.label());
-        match catch_labeled(&label, || match scenario.kind {
-            ScenarioKind::Train => train_obs(platform, scenario),
-            ScenarioKind::Infer => infer_obs(platform, scenario),
-        }) {
-            Ok(obs) => obs,
-            Err(panicked) => GenObs::failed(platform, scenario.batch, panicked),
-        }
-    })
+    PLATFORMS
+        .iter()
+        .map(|&platform| {
+            let label = format!("{} {platform}", scenario.label());
+            match catch_labeled(&label, || match scenario.kind {
+                ScenarioKind::Train => train_obs(platform, scenario),
+                ScenarioKind::Infer => infer_obs(platform, scenario),
+            }) {
+                Ok(obs) => obs,
+                Err(panicked) => GenObs::failed(platform, scenario.batch, panicked),
+            }
+        })
+        .collect()
 }
 
 fn fmt_opt_f64(v: Option<f64>) -> String {

@@ -66,26 +66,31 @@ fn unknown_tier_is_a_structured_error() {
 #[test]
 fn output_is_byte_identical_across_jobs_and_shards() {
     // The acceptance bar: same tier+seed renders the same bytes at any
-    // worker-thread count and across a multi-process sharded run.
-    let base = &["gen", "--tier", "easy", "--seed", "7", "--count", "6"];
-    let serial = run(&[base as &[&str], &["--jobs", "1"]].concat());
-    assert_eq!(serial.code, Some(0), "{}", serial.stderr);
-    let parallel = run(&[base as &[&str], &["--jobs", "8"]].concat());
-    assert_eq!(parallel.code, Some(0), "{}", parallel.stderr);
-    assert_eq!(
-        serial.stdout, parallel.stdout,
-        "--jobs must not perturb gen output"
-    );
+    // worker-thread count and across a multi-process sharded run. Cosmic
+    // adds memory-edge probes, fault plans and `scale` to the points.
+    for (tier, count) in [("easy", "6"), ("baby", "12"), ("cosmic", "12")] {
+        let base = &["gen", "--tier", tier, "--seed", "7", "--count", count];
+        let serial = run(&[base as &[&str], &["--jobs", "1"]].concat());
+        assert_eq!(serial.code, Some(0), "{tier}: {}", serial.stderr);
+        for jobs in ["2", "8"] {
+            let parallel = run(&[base as &[&str], &["--jobs", jobs]].concat());
+            assert_eq!(parallel.code, Some(0), "{tier}: {}", parallel.stderr);
+            assert_eq!(
+                serial.stdout, parallel.stdout,
+                "--jobs {jobs} must not perturb {tier} gen output"
+            );
+        }
 
-    let dir = temp_dir("shards");
-    let dir_s = dir.to_str().expect("utf-8 temp path");
-    let sharded = run(&[base as &[&str], &["--shards", "3", "--run-dir", dir_s]].concat());
-    assert_eq!(sharded.code, Some(0), "{}", sharded.stderr);
-    assert_eq!(
-        serial.stdout, sharded.stdout,
-        "--shards must not perturb gen output"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("shards");
+        let dir_s = dir.to_str().expect("utf-8 temp path");
+        let sharded = run(&[base as &[&str], &["--shards", "3", "--run-dir", dir_s]].concat());
+        assert_eq!(sharded.code, Some(0), "{tier}: {}", sharded.stderr);
+        assert_eq!(
+            serial.stdout, sharded.stdout,
+            "--shards must not perturb {tier} gen output"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
