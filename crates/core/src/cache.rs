@@ -17,10 +17,10 @@
 //! # Storage
 //!
 //! Results live in a process-wide, size-bounded, concurrency-safe
-//! [`LruStore`] ([`TIER1_CACHE_CAPACITY`] entries), shared by the CLI's
-//! one-shot sweeps and the long-running `dabench serve` daemon (see
-//! [`crate::serve`]); a daemon serving unbounded request streams must not
-//! grow the cache without bound, so cold entries are evicted
+//! [`LruStore`] ([`TIER1_CACHE_CAPACITY`] entries). Every distinct
+//! workload is a new key, so a caller profiling a generated population
+//! (10^3–10^4 scenarios, the scale `dabench gen` samples at) must not grow
+//! the cache with the population: cold entries are evicted
 //! least-recently-used first and [`CacheStats::evictions`] counts them.
 //!
 //! # Key representation
@@ -110,7 +110,8 @@ pub struct CacheStats {
 /// Capacity bound of the process-wide Tier-1 cache, in entries. Large
 /// enough that a full `dabench all` sweep never evicts (the paper suite
 /// touches a few hundred distinct `(configuration, workload)` pairs),
-/// small enough that a long-running daemon cannot grow without bound.
+/// small enough that profiling a generated population of 10^3–10^4
+/// distinct workloads keeps the process footprint flat.
 pub const TIER1_CACHE_CAPACITY: usize = 4096;
 
 type Store = LruStore<(CacheKey, TrainingWorkload), Result<Tier1Report, PlatformError>>;

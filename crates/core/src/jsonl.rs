@@ -1,17 +1,17 @@
-//! Flat JSON-line codec shared by the run journal and the serve protocol.
+//! Flat JSON-line codec of the run journal.
 //!
-//! Both the crash-safe run journal (`dabench-journal-v1`, see
-//! [`crate::supervise`]) and the benchmark daemon's wire protocol
-//! (`dabench-serve-v1`, see [`crate::serve`]) speak the same restricted
-//! dialect: **one flat JSON object per line, string values only**. The
-//! restriction is deliberate — a flat string-only object round-trips
-//! byte-exactly through a hand-rolled parser small enough to audit, which
-//! is what lets the journal promise byte-identical replay and the daemon
-//! stay dependency-free.
+//! The crash-safe run journal (`dabench-journal-v1`, see
+//! [`crate::supervise`]) and the shard journals merged from it (see
+//! [`crate::shard`]) speak one restricted dialect: **one flat JSON object
+//! per line, string values only**. The restriction is deliberate — a flat
+//! string-only object round-trips byte-exactly through a hand-rolled
+//! parser small enough to audit, which is what lets the journal promise
+//! byte-identical replay with no dependencies.
 //!
 //! Escaping covers `"`/`\\`/control characters (as `\uXXXX`); parsing
 //! accepts exactly what [`escape`] emits plus the standard short escapes,
-//! so `parse_object(&write_object(pairs))` is an identity on the pairs.
+//! so parsing an object whose keys and values were written with
+//! [`escape`] is an identity on the pairs.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -36,29 +36,11 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Serialize `pairs` as one flat JSON object, keys in the given order.
-///
-/// The writer is the dual of [`parse_object`]: every value is a string,
-/// escaped with [`escape`], and the result contains no newline — safe to
-/// append to a JSONL stream as a single line.
-#[must_use]
-pub fn write_object(pairs: &[(&str, &str)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":\"{}\"", escape(k), escape(v));
-    }
-    out.push('}');
-    out
-}
-
 /// Parse one line as a flat JSON object with string values only.
 ///
 /// Returns `None` on any syntactic deviation — the caller decides whether
-/// that means a truncated tail (journal), corruption, or a malformed
-/// request (serve). Duplicate keys keep the last occurrence.
+/// that means a truncated tail or mid-file corruption. Duplicate keys keep
+/// the last occurrence.
 #[must_use]
 pub fn parse_object(line: &str) -> Option<BTreeMap<String, String>> {
     let mut chars = line.trim().chars().peekable();
@@ -157,11 +139,15 @@ mod tests {
     #[test]
     fn write_then_parse_is_identity() {
         let pairs = [
-            ("op", "submit"),
-            ("job", "fig9"),
+            ("label", "fig9"),
+            ("status", "completed"),
             ("data", "line1\nline2\t\"quoted\" \\ back\u{1}slash é"),
         ];
-        let line = write_object(&pairs);
+        let fields: Vec<String> = pairs
+            .iter()
+            .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
+            .collect();
+        let line = format!("{{{}}}", fields.join(","));
         assert!(!line.contains('\n'), "single line: {line:?}");
         let parsed = parse_object(&line).expect("round-trips");
         for (k, v) in pairs {
@@ -182,7 +168,6 @@ mod tests {
     #[test]
     fn empty_object_parses() {
         assert_eq!(parse_object("{}"), Some(BTreeMap::new()));
-        assert_eq!(write_object(&[]), "{}");
     }
 
     #[test]

@@ -25,10 +25,6 @@
 //!   logical timestamps, deterministic under [`par_map`], exported as
 //!   Chrome `trace_event` JSON and per-phase counter tables (see
 //!   `docs/observability.md`).
-//! - **Benchmark-as-a-service** ([`serve`]): a zero-dependency daemon
-//!   speaking JSONL over TCP, with bounded-queue admission control,
-//!   structured load shedding, a shared [`lru`] result store, graceful
-//!   drain, and journal-backed crash-safe resume (see `docs/serve.md`).
 //!
 //! Chips plug in by implementing the [`Platform`] trait (and optionally
 //! [`Scalable`]); the framework then derives every metric from the
@@ -66,7 +62,6 @@ pub mod parallel;
 mod platform;
 mod report;
 pub mod rng;
-pub mod serve;
 pub mod shard;
 pub mod supervise;
 pub mod tier1;
@@ -94,7 +89,6 @@ pub use report::{
     batch_saturation_point, BatchPoint, BoundKind, PrecisionPoint, Tier1Report, Tier2Report,
 };
 pub use rng::SplitMix64;
-pub use serve::{JobExecutor, ServeConfig, ServeSummary, Server, PROTOCOL as SERVE_PROTOCOL};
 pub use shard::{
     merge_journals, plan_shards, shard_journal_name, supervise_shards, MergeResult, MergedPoint,
     ShardConfig, ShardOutcome, ShardStatus, SyntheticFailure,

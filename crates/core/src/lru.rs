@@ -1,12 +1,11 @@
 //! Shared, size-bounded, concurrency-safe LRU result store.
 //!
-//! The Tier-1 memo cache ([`crate::cache`]) and the benchmark daemon's
-//! response store ([`crate::serve`]) both need the same thing: a bounded
-//! map that many `par_map` workers and connection threads can hit
-//! concurrently, that never grows past its capacity (a daemon serving
-//! millions of identical requests must not trade a recompute for an OOM),
-//! and whose hit/miss/eviction counters are exact — they feed admission
-//! decisions, the `stats` protocol op, and the [`crate::obs`] bus.
+//! The Tier-1 memo cache ([`crate::cache`]) and the compile graph memo
+//! ([`crate::compile`]) both need the same thing: a bounded map that many
+//! `par_map` workers can hit concurrently, that never grows past its
+//! capacity (a sweep over a large generated population must not trade a
+//! recompute for an OOM), and whose hit/miss/eviction counters are exact —
+//! they back [`crate::cache_stats`].
 //!
 //! Recency is tracked with a monotonic use-tick per entry; eviction scans
 //! for the least-recently-used entry. The scan is `O(len)`, which is
@@ -138,11 +137,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruStore<K, V> {
         evicted
     }
 
-    /// Whether `key` is resident, without touching recency or counters.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.lock().expect("lru lock").map.contains_key(key)
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("lru lock").map.len()
@@ -168,19 +162,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruStore<K, V> {
             evictions: inner.evictions,
             len: inner.map.len(),
         }
-    }
-
-    /// Publish the counter totals to the [`crate::obs`] bus as
-    /// `<prefix>.hits` / `.misses` / `.inserts` / `.evictions` /
-    /// `.resident`. No-op when the recorder is disabled or no point
-    /// context is open (see `docs/observability.md`).
-    pub fn publish_obs(&self, prefix: &str) {
-        let stats = self.stats();
-        crate::obs::counter(&format!("{prefix}.hits"), stats.hits as f64);
-        crate::obs::counter(&format!("{prefix}.misses"), stats.misses as f64);
-        crate::obs::counter(&format!("{prefix}.inserts"), stats.inserts as f64);
-        crate::obs::counter(&format!("{prefix}.evictions"), stats.evictions as f64);
-        crate::obs::counter(&format!("{prefix}.resident"), stats.len as f64);
     }
 }
 

@@ -468,7 +468,7 @@ impl Injection {
 /// # Errors
 ///
 /// A human-readable message naming the offending clause.
-pub fn parse_injection_clauses(raw: &str) -> Result<BTreeMap<String, Injection>, String> {
+fn parse_injection_clauses(raw: &str) -> Result<BTreeMap<String, Injection>, String> {
     let mut map = BTreeMap::new();
     for clause in raw.split(',').filter(|c| !c.trim().is_empty()) {
         let (name, action) = clause
@@ -543,7 +543,7 @@ pub fn parse_injection_clauses(raw: &str) -> Result<BTreeMap<String, Injection>,
 ///
 /// # Errors
 ///
-/// As for [`parse_injection_clauses`].
+/// A human-readable message naming the offending clause.
 pub fn parse_injections() -> Result<BTreeMap<String, Injection>, String> {
     match std::env::var(INJECT_ENV) {
         Ok(raw) => parse_injection_clauses(&raw),
@@ -1331,6 +1331,7 @@ mod tests {
         let dir = temp_dir("tail");
         let mut journal = RunJournal::create(&dir).unwrap();
         journal.append("table1", "completed", "T1").unwrap();
+        journal.append("fig9", "failed", "boom").unwrap();
         let path = journal.path().to_path_buf();
         drop(journal);
         // Simulate a SIGKILL mid-append: a partial record, no newline.
@@ -1341,6 +1342,10 @@ mod tests {
         let (mut journal, replay) = RunJournal::resume(&dir).unwrap();
         assert!(replay.dropped_tail.as_deref().unwrap().contains("fig6"));
         assert_eq!(replay.completed.len(), 1);
+        assert_eq!(
+            replay.resume_summary(),
+            "resume: 1 replayed from journal, 1 adopted (re-run), 1 abandoned (truncated tail)"
+        );
         // The file was healed: appending and re-resuming is clean.
         journal.append("fig6", "completed", "F6").unwrap();
         drop(journal);

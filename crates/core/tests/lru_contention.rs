@@ -1,7 +1,7 @@
 //! Contention properties of the shared LRU result store.
 //!
-//! The store backs both the Tier-1 memo cache and the serve daemon's
-//! response store, so its invariants must hold under exactly the kind of
+//! The store backs both the Tier-1 memo cache and the compile graph
+//! memo, so its invariants must hold under exactly the kind of
 //! pressure those callers generate: many `par_map` workers hitting one
 //! store at once. Three properties are pinned here:
 //!

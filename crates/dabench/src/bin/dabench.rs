@@ -4,7 +4,6 @@
 //! dabench table1|table2|table3|table4        reproduce a paper table
 //! dabench fig6|fig7|fig8|fig9|fig10|fig11|fig12   reproduce a paper figure
 //! dabench all                                everything above, supervised
-//! dabench serve                              benchmark-as-a-service daemon
 //! dabench ablations                          design-choice ablations
 //! dabench tier1 <platform> [opts]            profile one workload
 //! dabench summary [opts]                     all platforms, one workload
@@ -27,11 +26,8 @@
 //! replays to produce byte-identical output after a mid-run kill. Exit
 //! code 2 flags a run that completed with failed/panicked/timed-out
 //! points.
-//!
-//! `serve` turns the same supervised machinery into a long-running daemon
-//! speaking JSONL over TCP, with admission control, load shedding, a
-//! shared result cache, graceful drain on SIGTERM/SIGINT, and crash-safe
-//! `--resume` (see docs/serve.md).
+
+#![forbid(unsafe_code)]
 
 use dabench::bench_suite::run_bench;
 use dabench::core::obs;
@@ -52,7 +48,6 @@ use dabench::ipu::Ipu;
 use dabench::model::{BatchingMode, InferenceWorkload, ModelConfig, Precision, TrainingWorkload};
 use dabench::rdu::{CompilationMode, Rdu};
 use dabench::runner::{run_supervised_points, RunnerConfig};
-use dabench::serve::run_serve;
 use dabench::suite::{experiment_tables, point_index, render_experiment, EXPERIMENTS};
 use dabench::wse::Wse;
 use std::process::ExitCode;
@@ -916,7 +911,6 @@ fn usage() -> &'static str {
        table1 table2 table3 table4       reproduce a paper table\n\
        fig6 fig7 fig8 fig9 fig10 fig11 fig12   reproduce a paper figure\n\
        all                               every table and figure, supervised\n\
-       serve                             benchmark-as-a-service daemon (JSONL/TCP)\n\
        ablations                         design-choice ablations\n\
        sensitivity                       hardware-parameter elasticities\n\
        infer [opts]                      inference serving: TTFT + tokens/s, 4 platforms\n\
@@ -941,10 +935,6 @@ fn usage() -> &'static str {
      \x20            --heartbeat-ms N  shard heartbeat interval (default 200)\n\
      \x20            --shard-stall-s S kill a shard with no journal growth for S s\n\
      \x20            exit codes: 0 clean, 2 some points failed (see stderr report)\n\
-     serve options: --addr A:P (default 127.0.0.1:0) --workers N --queue N\n\
-     \x20              --cache N --retry-after-ms N --deadline-s S --max-retries N\n\
-     \x20              --seed N --run-dir D --resume D\n\
-     \x20              drains gracefully on SIGTERM/SIGINT or the `drain` op\n\
      infer options: --model <preset> --batch N --prompt N --decode N\n\
      \x20             --precision fp16|bf16|cb16|fp32 --kv-precision ...|fp8 --continuous\n\
      \x20             (no flags: the default batch x prompt x KV-precision sweep)\n\
@@ -1029,50 +1019,6 @@ fn extract_jobs(args: &mut Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Graceful-shutdown flag for `serve`, set from SIGTERM/SIGINT.
-///
-/// `std` cannot install signal handlers and the workspace is
-/// dependency-free, so the binary registers a handler through the libc
-/// `signal` symbol directly — the one place in the workspace that needs
-/// `unsafe` (both library crates `forbid` it). The handler only performs
-/// an atomic store, which is async-signal-safe.
-#[cfg(unix)]
-mod shutdown {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    extern "C" fn on_signal(_signum: i32) {
-        REQUESTED.store(true, Ordering::SeqCst);
-    }
-
-    pub fn install() {
-        let handler = on_signal as extern "C" fn(i32) as usize;
-        unsafe {
-            signal(SIGTERM, handler);
-            signal(SIGINT, handler);
-        }
-    }
-}
-
-/// Non-Unix fallback: no signal wiring; the daemon still drains via the
-/// `drain` protocol op.
-#[cfg(not(unix))]
-mod shutdown {
-    use std::sync::atomic::AtomicBool;
-
-    pub static REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    pub fn install() {}
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(e) = extract_jobs(&mut args) {
@@ -1113,18 +1059,6 @@ fn main() -> ExitCode {
         // Hidden: one shard of a `dabench all --shards N` fleet.
         match run_shard_worker(rest) {
             Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else if cmd == "serve" {
-        // `serve` opens one point context for the daemon's lifetime so
-        // the store counters it publishes at drain land in `--metrics`.
-        shutdown::install();
-        let result = obs::with_point(0, "serve", || run_serve(rest, &shutdown::REQUESTED));
-        match result {
-            Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("error: {e}");
                 ExitCode::FAILURE

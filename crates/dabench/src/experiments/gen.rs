@@ -35,7 +35,7 @@ pub use super::infer::PLATFORMS;
 
 /// Record schema identifier; bump when the line format changes.
 pub const RECORD_SCHEMA: &str = "gen-v1";
-/// Default population of the `gen` suite entry (`dabench csv gen`, serve).
+/// Default population of the `gen` suite entry (`dabench csv gen`).
 pub const DEFAULT_TIER: Tier = Tier::Baby;
 /// Default population seed.
 pub const DEFAULT_SEED: u64 = 42;
@@ -958,7 +958,7 @@ pub fn render_invariants(outcome: &CheckOutcome) -> Table {
 }
 
 /// Evaluate the default population inline and render every table — the
-/// suite entry behind `dabench csv gen` and the serve `gen` job.
+/// suite entry behind `dabench csv gen`.
 #[must_use]
 pub fn default_tables() -> Vec<Table> {
     let (tier, seed, count) = (DEFAULT_TIER, DEFAULT_SEED, DEFAULT_COUNT);

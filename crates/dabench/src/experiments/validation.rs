@@ -294,7 +294,10 @@ fn fig12_checks() -> Vec<Check> {
         "Fig 12",
         "WSE throughput saturates near batch 200",
         knee.is_some_and(|k| (100..=300).contains(&k)),
-        format!("85%-of-peak knee at batch {knee:?}"),
+        knee.map_or_else(
+            || "no 85%-of-peak knee in the sweep".to_owned(),
+            |k| format!("85%-of-peak knee at batch {k}"),
+        ),
     ));
     checks
 }

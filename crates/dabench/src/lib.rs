@@ -25,7 +25,6 @@ pub mod bench_suite;
 pub mod experiments;
 pub mod render;
 pub mod runner;
-pub mod serve;
 pub mod suite;
 
 /// Re-export of the framework core (`dabench-core`).

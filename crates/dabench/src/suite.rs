@@ -2,9 +2,9 @@
 //! render, addressable by name.
 //!
 //! This used to live in the `dabench` binary; it moved here so the
-//! macro-benchmark harness ([`crate::bench_suite`]) and the criterion
-//! targets in `crates/bench` can time the *exact* renderings the CLI
-//! prints, instead of maintaining parallel workload definitions.
+//! macro-benchmark harness ([`crate::bench_suite`]) can time the *exact*
+//! renderings the CLI prints, instead of maintaining parallel workload
+//! definitions.
 
 use crate::core::par_map;
 use crate::experiments::{
@@ -144,8 +144,10 @@ mod tests {
 
     #[test]
     fn every_listed_experiment_renders() {
-        for name in EXPERIMENTS {
-            assert!(render_experiment(name).is_some(), "{name}");
+        let extra = ["ablations", "sensitivity", "infer", "gen"];
+        for name in EXPERIMENTS.iter().chain(&extra) {
+            let out = render_experiment(name).unwrap_or_else(|| panic!("{name}"));
+            assert!(!out.trim().is_empty(), "{name} rendered empty");
         }
     }
 
