@@ -26,8 +26,8 @@
 //!
 //! # Determinism
 //!
-//! The rendered output of a sweep must be byte-identical at any `--jobs`,
-//! under `--shards`, and across `--resume`. Two regimes keep it so:
+//! The rendered output of a sweep must be byte-identical at any `--jobs`
+//! and across `--resume`. Two regimes keep it so:
 //!
 //! - **Recorder off** (plain runs): a process-global [`LruStore`] plus a
 //!   last-built basis slot. Caching is invisible here because a hit

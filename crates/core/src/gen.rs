@@ -13,7 +13,7 @@
 //!
 //! # RNG forking discipline
 //!
-//! Determinism across `--jobs` and `--shards` requires that scenario `i`
+//! Determinism across `--jobs` and `--resume` requires that scenario `i`
 //! never depends on how many draws scenario `i-1` made. Every scenario
 //! therefore forks its own [`SplitMix64`] stream from `(tier, seed,
 //! index)`, and *within* a scenario each aspect (kind, shape, workload
@@ -273,8 +273,8 @@ pub struct Scenario {
 impl Scenario {
     /// The self-describing point label: `gen:<tier>:s<seed>:i<index>`.
     /// Any process can re-derive the full scenario from it via
-    /// [`parse_label`] + [`sample`] — this is what lets shard workers
-    /// evaluate generated points they never saw sampled.
+    /// [`parse_label`] + [`sample`] — this is what lets the supervised
+    /// runner and `--resume` evaluate a point from its label alone.
     #[must_use]
     pub fn label(&self) -> String {
         format_label(self.tier, self.seed, self.index)
@@ -537,7 +537,7 @@ fn heads_of(family: ModelFamily, hidden: u64) -> u64 {
 
 /// Deterministically sample scenario `index` of population
 /// `(tier, seed)`. Same arguments ⇒ identical scenario, on any machine,
-/// in any process — the whole `--jobs`/`--shards` byte-identity story
+/// in any process — the whole `--jobs`/`--resume` byte-identity story
 /// rests on this function being a pure function of its inputs.
 #[must_use]
 pub fn sample(tier: Tier, seed: u64, index: u64) -> Scenario {
@@ -659,7 +659,7 @@ pub fn population(tier: Tier, seed: u64, count: u64) -> Vec<Scenario> {
 /// A cross-scenario property every platform model must obey. The first
 /// four are checked by `dabench gen` on every generated population; the
 /// last is checked both in-process (re-sample + re-evaluate) and by the
-/// `gen-determinism` CI job (`--jobs`/`--shards` byte-identity).
+/// `gen-determinism` CI job (`--jobs`/`--resume` byte-identity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Invariant {
     /// Adding faults never increases training throughput.

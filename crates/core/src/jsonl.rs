@@ -1,9 +1,8 @@
 //! Flat JSON-line codec of the run journal.
 //!
 //! The crash-safe run journal (`dabench-journal-v1`, see
-//! [`crate::supervise`]) and the shard journals merged from it (see
-//! [`crate::shard`]) speak one restricted dialect: **one flat JSON object
-//! per line, string values only**. The restriction is deliberate — a flat
+//! [`crate::supervise`]) speaks one restricted dialect: **one flat JSON
+//! object per line, string values only**. The restriction is deliberate — a flat
 //! string-only object round-trips byte-exactly through a hand-rolled
 //! parser small enough to audit, which is what lets the journal promise
 //! byte-identical replay with no dependencies.

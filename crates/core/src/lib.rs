@@ -16,11 +16,6 @@
 //!   isolation, wall-clock deadlines, deterministic retries, and a
 //!   crash-safe run journal enabling `--resume` (see
 //!   `docs/supervision.md`).
-//! - **Multi-process sharding** ([`shard`]): deterministic partitioning
-//!   of sweep points across worker OS processes, a fleet supervisor with
-//!   heartbeat liveness and bounded respawns, and a crash-safe merge of
-//!   per-shard journals back into the byte-identical combined journal
-//!   (see `docs/sharding.md`).
 //! - **Observability** ([`obs`]): phase-scoped spans and counters with
 //!   logical timestamps, deterministic under [`par_map`], exported as
 //!   Chrome `trace_event` JSON and per-phase counter tables (see
@@ -62,7 +57,6 @@ pub mod parallel;
 mod platform;
 mod report;
 pub mod rng;
-pub mod shard;
 pub mod supervise;
 pub mod tier1;
 pub mod tier2;
@@ -89,10 +83,6 @@ pub use report::{
     batch_saturation_point, BatchPoint, BoundKind, PrecisionPoint, Tier1Report, Tier2Report,
 };
 pub use rng::SplitMix64;
-pub use shard::{
-    merge_journals, plan_shards, shard_journal_name, supervise_shards, MergeResult, MergedPoint,
-    ShardConfig, ShardOutcome, ShardStatus, SyntheticFailure,
-};
 pub use supervise::{
     abandoned_threads, catch_labeled, parse_injections, supervise_point, with_point_label,
     InjectedErrorKind, Injection, PointOutcome, Replay, RunJournal, RunReport, SupervisePolicy,

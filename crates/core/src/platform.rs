@@ -208,7 +208,7 @@ pub enum ParallelStrategy {
     },
     /// Tensor parallelism across `degree` chips (RDU).
     TensorParallel {
-        /// Number of chips operators are sharded over.
+        /// Number of chips each operator is split across.
         degree: u32,
     },
     /// Pipeline parallelism across `devices` chips (IPU).

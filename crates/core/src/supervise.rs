@@ -279,7 +279,7 @@ where
 // ---------------------------------------------------------------------------
 
 /// Environment variable carrying failure-injection clauses.
-pub const INJECT_ENV: &str = "DABENCH_INJECT";
+const INJECT_ENV: &str = "DABENCH_INJECT";
 
 /// Which [`PlatformError`] an `err:KIND` injection raises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,8 +307,7 @@ impl InjectedErrorKind {
 
     /// The injected error, labelled so reports clearly show it came from
     /// the test hook and not from a platform model.
-    #[must_use]
-    pub fn to_error(self) -> PlatformError {
+    fn to_error(self) -> PlatformError {
         match self {
             InjectedErrorKind::DeviceFault => PlatformError::DeviceFault {
                 unit: "injected".into(),
@@ -329,12 +328,12 @@ impl InjectedErrorKind {
     }
 }
 
-/// Test-only failure injection, from the [`INJECT_ENV`] env var: a
+/// Test-only failure injection, from the `DABENCH_INJECT` env var: a
 /// comma-separated list of `<point>=panic`, `<point>=sleep:SECS`,
-/// `<point>=err:KIND[:N]`, `<point>=abort[:N]`, or `<point>=exit:CODE[:N]`
-/// clauses. Lets integration tests and the CI crash-recovery jobs exercise
-/// panic isolation, deadlines, retryable error paths, and mid-run kills
-/// without planting bugs in the experiments themselves.
+/// `<point>=err:KIND[:N]`, or `<point>=violate:INVARIANT` clauses. Lets
+/// integration tests and the CI crash-recovery jobs exercise panic
+/// isolation, deadlines, retryable error paths, and mid-run kills without
+/// planting bugs in the experiments themselves.
 ///
 /// `err:KIND` raises the corresponding [`PlatformError`] on **every**
 /// attempt; `err:KIND:N` raises it on the first `N` attempts only, so
@@ -342,16 +341,6 @@ impl InjectedErrorKind {
 /// `--max-retries 2` succeeds on the third attempt). Kinds:
 /// `device_fault`, `compile_failure` (retryable), `oom`, `unsupported`
 /// (not retryable).
-///
-/// `abort` and `exit:CODE` are **process-level** actions fired at point
-/// *start* (see [`Injection::fire_process`]), the deterministic stand-in
-/// for a SIGKILL'd or OOM-killed shard worker: `abort` raises `SIGABRT`
-/// via [`std::process::abort`], `exit:CODE` calls [`std::process::exit`].
-/// The counted forms (`abort:N`, `exit:CODE:N`) fire only while the
-/// point's durable start count — the number of `started` records already
-/// in the shard journal — is below `N`, so a respawned worker survives
-/// its second attempt and shard-death-plus-recovery is testable
-/// end-to-end without external kill timing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Injection {
     /// Panic on every attempt.
@@ -365,22 +354,6 @@ pub enum Injection {
         /// Which error to raise.
         kind: InjectedErrorKind,
         /// How many leading attempts fail before the injection clears.
-        failures: u32,
-    },
-    /// `std::process::abort()` at point start while the durable start
-    /// count is below `failures` (`u32::MAX` = always).
-    Abort {
-        /// How many leading process-level starts die before the
-        /// injection clears.
-        failures: u32,
-    },
-    /// `std::process::exit(code)` at point start while the durable start
-    /// count is below `failures` (`u32::MAX` = always).
-    Exit {
-        /// The exit code to die with.
-        code: u8,
-        /// How many leading process-level starts die before the
-        /// injection clears.
         failures: u32,
     },
     /// Perturb one observation fed to the `dabench gen` metamorphic
@@ -403,7 +376,7 @@ impl Injection {
     /// # Panics
     ///
     /// [`Injection::Panic`] panics with a message naming the hook.
-    pub fn fire(&self, attempt: u32) -> Result<(), PlatformError> {
+    fn fire(&self, attempt: u32) -> Result<(), PlatformError> {
         match *self {
             Injection::Panic => panic!("injected failure (DABENCH_INJECT)"),
             Injection::SleepSecs(s) => {
@@ -417,49 +390,29 @@ impl Injection {
                     Ok(())
                 }
             }
-            // Process-level actions are fired by `fire_process` at point
-            // start, never inside a supervised attempt (aborting under
-            // catch_unwind would still kill the process, but keeping the
-            // two planes separate makes counted semantics unambiguous:
-            // attempts count retries, starts count process lives).
-            Injection::Abort { .. } | Injection::Exit { .. } | Injection::Violate(_) => Ok(()),
+            Injection::Violate(_) => Ok(()),
         }
     }
 
-    /// [`Injection::fire`] with the attempt number taken from (and
+    /// Act on this injection for the attempt number taken from (and
     /// advanced in) `attempts` — the natural shape inside a retried
-    /// [`supervise_point`] closure.
+    /// [`supervise_point`] closure: panic, sleep, or return the injected
+    /// error.
     ///
     /// # Errors
     ///
-    /// The injected [`PlatformError`], as for [`Injection::fire`].
+    /// The injected [`PlatformError`] while the attempt number is below
+    /// the injection's failure count.
+    ///
+    /// # Panics
+    ///
+    /// [`Injection::Panic`] panics with a message naming the hook.
     pub fn fire_counted(
         &self,
         attempts: &std::sync::atomic::AtomicU32,
     ) -> Result<(), PlatformError> {
         let attempt = attempts.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         self.fire(attempt)
-    }
-
-    /// Act on a **process-level** injection (`abort`, `exit:CODE`) at
-    /// point start. `prior_starts` is the number of times this point has
-    /// already been started by *some* process — for shard workers, the
-    /// count of durable `started` records in the shard journal
-    /// ([`Replay::started`]), so the injection survives respawns exactly
-    /// `failures` times. Single-process callers pass 0 (the injection
-    /// always fires). Attempt-level injections are a no-op here.
-    pub fn fire_process(&self, prior_starts: u32) {
-        match *self {
-            Injection::Abort { failures } if prior_starts < failures => {
-                eprintln!("injected abort (DABENCH_INJECT)");
-                std::process::abort();
-            }
-            Injection::Exit { code, failures } if prior_starts < failures => {
-                eprintln!("injected exit:{code} (DABENCH_INJECT)");
-                std::process::exit(i32::from(code));
-            }
-            _ => {}
-        }
     }
 }
 
@@ -499,38 +452,14 @@ fn parse_injection_clauses(raw: &str) -> Result<BTreeMap<String, Injection>, Str
                     )
                 })?;
                 Injection::Err { kind, failures }
-            } else if action == "abort" {
-                Injection::Abort { failures: u32::MAX }
-            } else if let Some(count) = action.strip_prefix("abort:") {
-                Injection::Abort {
-                    failures: count
-                        .parse::<u32>()
-                        .map_err(|e| format!("DABENCH_INJECT `{clause}`: {e}"))?,
-                }
             } else if let Some(name) = action.strip_prefix("violate:") {
                 Injection::Violate(crate::gen::Invariant::parse(name).ok_or_else(|| {
                     format!("DABENCH_INJECT `{clause}`: unknown invariant `{name}`")
                 })?)
-            } else if let Some(spec) = action.strip_prefix("exit:") {
-                let (code, failures) = match spec.split_once(':') {
-                    Some((code, count)) => (
-                        code,
-                        count
-                            .parse::<u32>()
-                            .map_err(|e| format!("DABENCH_INJECT `{clause}`: {e}"))?,
-                    ),
-                    None => (spec, u32::MAX),
-                };
-                Injection::Exit {
-                    code: code
-                        .parse::<u8>()
-                        .map_err(|e| format!("DABENCH_INJECT `{clause}`: {e}"))?,
-                    failures,
-                }
             } else {
                 return Err(format!(
                     "DABENCH_INJECT `{clause}`: expected panic, sleep:SECS, err:KIND[:N], \
-                 abort[:N], exit:CODE[:N], or violate:INVARIANT"
+                 or violate:INVARIANT"
                 ));
             };
         map.insert(name.trim().to_owned(), injection);
@@ -538,7 +467,7 @@ fn parse_injection_clauses(raw: &str) -> Result<BTreeMap<String, Injection>, Str
     Ok(map)
 }
 
-/// Read and parse the [`INJECT_ENV`] environment variable (empty map when
+/// Read and parse the `DABENCH_INJECT` environment variable (empty map when
 /// unset).
 ///
 /// # Errors
@@ -556,34 +485,13 @@ pub fn parse_injections() -> Result<BTreeMap<String, Injection>, String> {
 // ---------------------------------------------------------------------------
 
 /// Journal schema identifier; bump when the line format changes.
-pub const JOURNAL_SCHEMA: &str = "dabench-journal-v1";
+const JOURNAL_SCHEMA: &str = "dabench-journal-v1";
 /// Journal file name inside a run directory.
-pub const JOURNAL_FILE: &str = "journal.jsonl";
-
-/// Status of a shard-metadata control record (`label` is
-/// [`SHARD_CONTROL_LABEL`], `data` describes the shard: id, pid,
-/// assigned points). Control records never describe a sweep point and
-/// are stripped by replay and merge.
-pub const STATUS_SHARD_META: &str = "shard";
-/// Status of a heartbeat control record appended periodically by a live
-/// shard worker so the parent can distinguish "slow" from "hung".
-pub const STATUS_HEARTBEAT: &str = "heartbeat";
-/// Status journaled by a shard worker *before* running a point: a
-/// durable "I am about to start this" marker. Counting `started` records
-/// for a label gives the number of process lives spent on it — the
-/// denominator for counted process-level injections
-/// ([`Injection::fire_process`]) — and a `started` record with no later
-/// final record marks the point a crashed worker died holding.
-pub const STATUS_STARTED: &str = "started";
-/// Reserved label for shard control records ([`STATUS_SHARD_META`],
-/// [`STATUS_HEARTBEAT`]); never a sweep-point label.
-pub const SHARD_CONTROL_LABEL: &str = "__shard__";
+const JOURNAL_FILE: &str = "journal.jsonl";
 
 /// Format one journal record line exactly as [`RunJournal::append`]
-/// writes it (no trailing newline). The merge step uses this to rebuild
-/// the combined journal byte-identically to a single-process run.
-#[must_use]
-pub fn format_record(label: &str, status: &str, data: &str) -> String {
+/// writes it (no trailing newline).
+fn format_record(label: &str, status: &str, data: &str) -> String {
     format!(
         "{{\"label\":\"{}\",\"status\":\"{}\",\"data\":\"{}\"}}",
         json_escape(label),
@@ -609,57 +517,32 @@ fn parse_journal_line(line: &str) -> Option<BTreeMap<String, String>> {
 /// rather than rejecting them, so a forward-compatible reader never
 /// drops durable work.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalRecord {
-    /// Point label (or [`SHARD_CONTROL_LABEL`] for control records).
-    pub label: String,
-    /// Status keyword (`completed`, `failed`, `started`, …).
-    pub status: Option<String>,
-    /// Rendered result / failure description / control payload.
-    pub data: Option<String>,
-}
-
-impl JournalRecord {
-    /// Whether this is a shard control record (heartbeat or shard
-    /// metadata) rather than a sweep-point record.
-    #[must_use]
-    pub fn is_control(&self) -> bool {
-        self.label == SHARD_CONTROL_LABEL
-            || matches!(
-                self.status.as_deref(),
-                Some(STATUS_HEARTBEAT | STATUS_SHARD_META)
-            )
-    }
-
-    /// Whether this records a point's final fate (`completed` or one of
-    /// the failure statuses) as opposed to a `started` marker, a metrics
-    /// digest, or a control record.
-    #[must_use]
-    pub fn is_final(&self) -> bool {
-        !self.is_control()
-            && !matches!(
-                self.status.as_deref(),
-                Some(STATUS_STARTED) | Some("metrics")
-            )
-    }
+struct JournalRecord {
+    /// Point label.
+    label: String,
+    /// Status keyword (`completed`, `failed`, `metrics`, …).
+    status: Option<String>,
+    /// Rendered result, failure description or metrics digest.
+    data: Option<String>,
 }
 
 /// Outcome of [`parse_journal`]: the durable records, how many leading
 /// bytes of the file they cover, and the torn trailing line (if any)
 /// that was discarded.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParsedJournal {
+struct ParsedJournal {
     /// Every durable record after the schema header, in file order.
-    pub records: Vec<JournalRecord>,
+    records: Vec<JournalRecord>,
     /// Byte length of the valid prefix (header + durable records); the
     /// healing truncation point.
-    pub valid_bytes: usize,
+    valid_bytes: usize,
     /// A truncated or corrupt *trailing* line that was discarded.
-    pub dropped_tail: Option<String>,
+    dropped_tail: Option<String>,
 }
 
 /// Why [`parse_journal`] rejected a journal outright.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalParseError {
+enum JournalParseError {
     /// Line 1 was not the expected schema header.
     BadSchema {
         /// The schema string found, if any.
@@ -681,13 +564,8 @@ pub enum JournalParseError {
 /// line. A torn **trailing** line (the expected residue of a `SIGKILL`
 /// mid-append) is discarded into [`ParsedJournal::dropped_tail`]; an
 /// invalid line **followed by** valid lines is mid-file corruption and a
-/// hard error. Shared by [`RunJournal::resume`] and the shard journal
-/// merge, so both heal exactly the same way.
-///
-/// # Errors
-///
-/// [`JournalParseError`] on a schema mismatch or mid-file corruption.
-pub fn parse_journal(contents: &str) -> Result<ParsedJournal, JournalParseError> {
+/// hard error.
+fn parse_journal(contents: &str) -> Result<ParsedJournal, JournalParseError> {
     let mut parsed = ParsedJournal::default();
     let mut line_no = 0usize;
     let mut invalid: Option<(usize, usize, String)> = None;
@@ -738,8 +616,7 @@ pub fn parse_journal(contents: &str) -> Result<ParsedJournal, JournalParseError>
 
 /// Render a [`JournalParseError`] as the `io::Error` the journal API
 /// reports, naming the offending file.
-#[must_use]
-pub fn journal_parse_io_error(path: &Path, err: &JournalParseError) -> io::Error {
+fn journal_parse_io_error(path: &Path, err: &JournalParseError) -> io::Error {
     match err {
         JournalParseError::BadSchema { found } => io::Error::new(
             io::ErrorKind::InvalidData,
@@ -773,12 +650,6 @@ pub struct Replay {
     pub metrics: BTreeMap<String, String>,
     /// Labels journaled with a non-completed status (they will re-run).
     pub unfinished: Vec<String>,
-    /// Durable start counts: label → number of [`STATUS_STARTED`]
-    /// records. In a shard worker this is how many process lives have
-    /// already been spent on the point — fed to
-    /// [`Injection::fire_process`] so counted `abort:N` / `exit:CODE:N`
-    /// injections clear after `N` worker deaths.
-    pub started: BTreeMap<String, u32>,
     /// A truncated or corrupt *trailing* line that was discarded (the
     /// expected residue of a `SIGKILL` mid-append). The journal file is
     /// healed — truncated back to its last valid line — before reuse.
@@ -788,8 +659,7 @@ pub struct Replay {
 impl Replay {
     /// Labels with journal records but no completed rendering — the
     /// points a resumed run re-adopts (deduplicated, sorted).
-    #[must_use]
-    pub fn adopted_labels(&self) -> Vec<String> {
+    fn adopted_labels(&self) -> Vec<String> {
         let mut adopted: Vec<String> = self
             .unfinished
             .iter()
@@ -829,7 +699,6 @@ impl Replay {
 #[derive(Debug)]
 pub struct RunJournal {
     file: File,
-    path: PathBuf,
 }
 
 impl RunJournal {
@@ -847,19 +716,8 @@ impl RunJournal {
     /// directory — silently overwriting a crashed run's journal would
     /// destroy the state `--resume` needs), or on any I/O error.
     pub fn create(dir: &Path) -> io::Result<Self> {
-        Self::create_named(dir, JOURNAL_FILE)
-    }
-
-    /// [`RunJournal::create`] with an explicit file name inside `dir` —
-    /// how shard workers get their own `journal.shard-K.jsonl` next to
-    /// the combined journal.
-    ///
-    /// # Errors
-    ///
-    /// As for [`RunJournal::create`].
-    pub fn create_named(dir: &Path, file_name: &str) -> io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(file_name);
+        let path = Self::path_in(dir);
         if path.exists() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
@@ -875,7 +733,7 @@ impl RunJournal {
             .open(&path)?;
         writeln!(file, "{{\"schema\":\"{JOURNAL_SCHEMA}\"}}")?;
         file.sync_all()?;
-        Ok(Self { file, path })
+        Ok(Self { file })
     }
 
     /// Reopen the journal in `dir`, replaying every durable record.
@@ -891,20 +749,9 @@ impl RunJournal {
     ///
     /// I/O errors, a schema mismatch, or mid-file corruption.
     pub fn resume(dir: &Path) -> io::Result<(Self, Replay)> {
-        Self::resume_named(dir, JOURNAL_FILE)
-    }
-
-    /// [`RunJournal::resume`] with an explicit file name inside `dir` —
-    /// how a respawned shard worker re-adopts its predecessor's durable
-    /// records (and heals its torn tail).
-    ///
-    /// # Errors
-    ///
-    /// As for [`RunJournal::resume`].
-    pub fn resume_named(dir: &Path, file_name: &str) -> io::Result<(Self, Replay)> {
-        let path = dir.join(file_name);
+        let path = Self::path_in(dir);
         if !path.exists() {
-            let journal = Self::create_named(dir, file_name)?;
+            let journal = Self::create(dir)?;
             return Ok((journal, Replay::default()));
         }
         let mut contents = String::new();
@@ -913,9 +760,6 @@ impl RunJournal {
         let parsed = parse_journal(&contents).map_err(|e| journal_parse_io_error(&path, &e))?;
         let mut replay = Replay::default();
         for record in &parsed.records {
-            if record.is_control() {
-                continue;
-            }
             let label = record.label.clone();
             match (record.status.as_deref(), record.data.as_ref()) {
                 (Some("completed"), Some(data)) => {
@@ -923,10 +767,6 @@ impl RunJournal {
                 }
                 (Some("metrics"), Some(data)) => {
                     replay.metrics.insert(label, data.clone());
-                }
-                (Some(STATUS_STARTED), _) => {
-                    *replay.started.entry(label.clone()).or_insert(0) += 1;
-                    replay.unfinished.push(label);
                 }
                 _ => replay.unfinished.push(label),
             }
@@ -940,7 +780,7 @@ impl RunJournal {
             file.set_len(parsed.valid_bytes as u64)?;
             file.sync_all()?;
         }
-        let mut journal = Self { file, path };
+        let mut journal = Self { file };
         if parsed.valid_bytes == 0 {
             // Empty (or fully discarded) file: rewrite the header.
             writeln!(journal.file, "{{\"schema\":\"{JOURNAL_SCHEMA}\"}}")?;
@@ -960,12 +800,6 @@ impl RunJournal {
     pub fn append(&mut self, label: &str, status: &str, data: &str) -> io::Result<()> {
         writeln!(self.file, "{}", format_record(label, status, data))?;
         self.file.sync_all()
-    }
-
-    /// Where this journal lives on disk.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -1008,27 +842,9 @@ impl RunReport {
             .push((label.to_owned(), outcome.status(), detail));
     }
 
-    /// Fold one point in by status keyword rather than live
-    /// [`PointOutcome`] — how the shard merge rebuilds the combined
-    /// report from journal records alone. Known keywords are interned to
-    /// the same `&'static str` values [`PointOutcome::status`] produces
-    /// (so [`RunReport::count`] and [`RunReport::render`] agree with a
-    /// single-process run); anything unrecognized is recorded as
-    /// `failed`, never silently dropped.
-    pub fn record_status(&mut self, label: &str, status: &str, detail: Option<String>) {
-        let interned = match status {
-            "completed" => "completed",
-            "journaled" => "journaled",
-            "panicked" => "panicked",
-            "timed-out" => "timed-out",
-            _ => "failed",
-        };
-        self.entries.push((label.to_owned(), interned, detail));
-    }
-
     /// Number of recorded points with the given status keyword.
     #[must_use]
-    pub fn count(&self, status: &str) -> usize {
+    fn count(&self, status: &str) -> usize {
         self.entries.iter().filter(|(_, s, _)| *s == status).count()
     }
 
@@ -1332,7 +1148,7 @@ mod tests {
         let mut journal = RunJournal::create(&dir).unwrap();
         journal.append("table1", "completed", "T1").unwrap();
         journal.append("fig9", "failed", "boom").unwrap();
-        let path = journal.path().to_path_buf();
+        let path = RunJournal::path_in(&dir);
         drop(journal);
         // Simulate a SIGKILL mid-append: a partial record, no newline.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -1360,7 +1176,7 @@ mod tests {
         let dir = temp_dir("corrupt");
         let mut journal = RunJournal::create(&dir).unwrap();
         journal.append("table1", "completed", "T1").unwrap();
-        let path = journal.path().to_path_buf();
+        let path = RunJournal::path_in(&dir);
         drop(journal);
         let text = std::fs::read_to_string(&path).unwrap();
         let patched = text.replacen(
@@ -1379,7 +1195,7 @@ mod tests {
         let dir = temp_dir("corrupt-detail");
         let mut journal = RunJournal::create(&dir).unwrap();
         journal.append("table1", "completed", "T1").unwrap();
-        let path = journal.path().to_path_buf();
+        let path = RunJournal::path_in(&dir);
         drop(journal);
         let text = std::fs::read_to_string(&path).unwrap();
         let patched = text.replacen(
@@ -1408,7 +1224,7 @@ mod tests {
         let dir = temp_dir("corrupt-long");
         let mut journal = RunJournal::create(&dir).unwrap();
         journal.append("table1", "completed", "T1").unwrap();
-        let path = journal.path().to_path_buf();
+        let path = RunJournal::path_in(&dir);
         drop(journal);
         let text = std::fs::read_to_string(&path).unwrap();
         let long_garbage = "X".repeat(200);
@@ -1485,6 +1301,7 @@ mod tests {
         assert!(err.contains("unknown error kind"), "{err}");
         assert!(parse_injection_clauses("fig9=err:oom:x").is_err());
         assert!(parse_injection_clauses("fig9=explode").is_err());
+        assert!(parse_injection_clauses("fig11=abort").is_err());
     }
 
     #[test]

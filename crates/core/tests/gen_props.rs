@@ -1,6 +1,6 @@
 //! Property tests for the scenario-space generator (`dabench_core::gen`).
 //!
-//! Same policy as `bench_props.rs` / `shard_props.rs`: the vendored-deps
+//! Same policy as `bench_props.rs` / `obs_props.rs`: the vendored-deps
 //! rule keeps `proptest` out, so these are hand-rolled properties driven
 //! by a seeded xorshift* generator — every failure reproduces from its
 //! printed seed.
@@ -88,8 +88,8 @@ fn labels_round_trip_and_reject_malformed_input() {
         let (seed, index) = (rng.next(), rng.below(10_000));
         let label = format_label(tier, seed, index);
         assert_eq!(parse_label(&label), Some((tier, seed, index)), "{label}");
-        // A label is comma-free by construction: shard workers join
-        // point lists with commas on the command line.
+        // A label is comma-free by construction: `DABENCH_INJECT` splits
+        // its clause list on commas.
         assert!(!label.contains(','), "{label}");
     }
     for bad in [

@@ -10,11 +10,6 @@
 //! - the Tier-1 memo cache and the incremental compile cache are cleared
 //!   before each benchmark and repopulated by the warmup batches, so timed
 //!   samples measure the deterministic steady state;
-//! - `cache_lookup_legacy` is a pinned replica of the string-keyed memo
-//!   lookup this repository used before the [`CacheKey`] rework; it stays
-//!   in the suite permanently so the before/after of that optimization
-//!   remains measurable on any machine, not just the one that recorded the
-//!   trajectory;
 //! - cases run sequentially (timing under contention is noise), but the
 //!   bodies themselves use `par_map` internally, and the obs-bridged
 //!   per-phase breakdown is byte-identical at any `--jobs`.
@@ -24,19 +19,13 @@ use crate::core::bench::{
     CounterRow, PhaseRow,
 };
 use crate::core::cache::clear_tier1_cache;
-use crate::core::shard::{merge_journals, plan_shards};
-use crate::core::supervise::{
-    JournalRecord, ParsedJournal, SHARD_CONTROL_LABEL, STATUS_HEARTBEAT, STATUS_SHARD_META,
-    STATUS_STARTED,
-};
-use crate::core::{obs, tier1_cached, Memoizable, PlatformError, Tier1Report};
+use crate::core::{obs, tier1_cached};
 use crate::experiments::validation;
 use crate::model::{InferenceWorkload, ModelConfig, Precision, TrainingWorkload};
 use crate::suite::render_experiment;
 use crate::wse::{compile, Wse, WseCompilerParams, WseSpec};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::sync::Mutex;
 
 /// One named benchmark in the suite.
 #[derive(Debug, Clone, Copy)]
@@ -49,7 +38,7 @@ pub struct BenchCase {
 
 /// The full suite, in report order: every paper artifact, the scorecard,
 /// then the hot-path compile and micro benchmarks.
-pub const CASES: [BenchCase; 23] = [
+pub const CASES: [BenchCase; 20] = [
     BenchCase {
         name: "table1",
         kind: BenchKind::Experiment,
@@ -123,28 +112,16 @@ pub const CASES: [BenchCase; 23] = [
         kind: BenchKind::Compile,
     },
     BenchCase {
-        name: "journal_merge_1k",
-        kind: BenchKind::Compile,
-    },
-    BenchCase {
         name: "cache_lookup_hit",
-        kind: BenchKind::Micro,
-    },
-    BenchCase {
-        name: "cache_lookup_legacy",
         kind: BenchKind::Micro,
     },
     BenchCase {
         name: "infer_decode_step",
         kind: BenchKind::Micro,
     },
-    BenchCase {
-        name: "shard_partition_plan",
-        kind: BenchKind::Micro,
-    },
 ];
 
-/// The probe workloads cycled through by the cache-lookup benchmarks.
+/// The probe workloads cycled through by the `cache_lookup_hit` benchmark.
 fn cache_probe_workloads() -> Vec<TrainingWorkload> {
     [2u64, 3, 4, 6]
         .iter()
@@ -216,65 +193,6 @@ fn make_body(name: &str) -> Box<dyn FnMut()> {
                 }
             })
         }
-        "journal_merge_1k" => {
-            // The shard merge hot path: 1000 points spread across 4 shard
-            // journals (with started/heartbeat control noise and a sprinkle
-            // of failure records), folded back into the canonical combined
-            // journal. All sources are built here, outside the timed region.
-            let order: Vec<String> = (0..1000).map(|i| format!("point-{i:04}")).collect();
-            let sources: Vec<ParsedJournal> = plan_shards(&order, 4)
-                .iter()
-                .enumerate()
-                .map(|(k, labels)| {
-                    let mut records = vec![JournalRecord {
-                        label: SHARD_CONTROL_LABEL.to_owned(),
-                        status: Some(STATUS_SHARD_META.to_owned()),
-                        data: Some(format!("shard={k}")),
-                    }];
-                    for (j, label) in labels.iter().enumerate() {
-                        records.push(JournalRecord {
-                            label: label.clone(),
-                            status: Some(STATUS_STARTED.to_owned()),
-                            data: Some("life=0".to_owned()),
-                        });
-                        if j % 97 == 5 {
-                            records.push(JournalRecord {
-                                label: label.clone(),
-                                status: Some("failed".to_owned()),
-                                data: Some("injected failure".to_owned()),
-                            });
-                        } else {
-                            records.push(JournalRecord {
-                                label: label.clone(),
-                                status: Some("completed".to_owned()),
-                                data: Some(format!("rendered output for {label}\n")),
-                            });
-                            records.push(JournalRecord {
-                                label: label.clone(),
-                                status: Some("metrics".to_owned()),
-                                data: Some(format!("point/{label} spans=3 counters=2")),
-                            });
-                        }
-                        if j % 13 == 0 {
-                            records.push(JournalRecord {
-                                label: SHARD_CONTROL_LABEL.to_owned(),
-                                status: Some(STATUS_HEARTBEAT.to_owned()),
-                                data: Some(format!("beat={j}")),
-                            });
-                        }
-                    }
-                    ParsedJournal {
-                        records,
-                        valid_bytes: 0,
-                        dropped_tail: None,
-                    }
-                })
-                .collect();
-            let synthetic = BTreeMap::new();
-            Box::new(move || {
-                black_box(merge_journals(&order, &sources, &synthetic));
-            })
-        }
         "cache_lookup_hit" => {
             let wse = Wse::default();
             let workloads = cache_probe_workloads();
@@ -288,28 +206,6 @@ fn make_body(name: &str) -> Box<dyn FnMut()> {
                 black_box(tier1_cached(&wse, w)).expect("warm lookup");
             })
         }
-        "cache_lookup_legacy" => {
-            // Pinned replica of the pre-CacheKey lookup: token string +
-            // workload Debug string allocated on every hit. Do not
-            // "optimize" this body — it IS the baseline.
-            let wse = Wse::default();
-            let workloads = cache_probe_workloads();
-            let store: Mutex<HashMap<(String, String), Result<Tier1Report, PlatformError>>> =
-                Mutex::new(HashMap::new());
-            for w in &workloads {
-                let key = (wse.cache_token(), format!("{w:?}"));
-                let result = tier1_cached(&wse, w);
-                store.lock().expect("legacy store").insert(key, result);
-            }
-            let mut i = 0usize;
-            Box::new(move || {
-                let w = &workloads[i % workloads.len()];
-                i += 1;
-                let key = (wse.cache_token(), format!("{w:?}"));
-                let hit = store.lock().expect("legacy store").get(&key).cloned();
-                black_box(hit).expect("warm lookup").expect("warm lookup");
-            })
-        }
         "infer_decode_step" => {
             // Hot inner loop of the inference profiler: summing per-step
             // decode costs over a growing KV cache, priced at the storage
@@ -321,17 +217,6 @@ fn make_body(name: &str) -> Box<dyn FnMut()> {
                     .with_kv_precision(Precision::Fp8);
             Box::new(move || {
                 black_box(w.decode_cost());
-            })
-        }
-        "shard_partition_plan" => {
-            // Deterministic round-robin partition of a large sweep into 7
-            // worker shards — the parent-side planning step of
-            // `dabench all --shards N`. Label construction stays outside
-            // the timed region; the body pays only the plan (and its
-            // per-shard label clones, which the real parent pays too).
-            let labels: Vec<String> = (0..256).map(|i| format!("sweep-point-{i:03}")).collect();
-            Box::new(move || {
-                black_box(plan_shards(&labels, 7));
             })
         }
         experiment => {

@@ -31,16 +31,10 @@
 
 use dabench::bench_suite::run_bench;
 use dabench::core::obs;
-use dabench::core::shard::{
-    emit_shard_counters, list_shard_journals, merge_journals, plan_shards, read_journal,
-    remove_shard_journals, render_rollups, shard_journal_name, supervise_shards, write_merged,
-    ShardConfig, ShardOutcome, SyntheticFailure,
-};
 use dabench::core::supervise::{
     parse_injections, Injection, Replay, RunJournal, RunReport, SupervisePolicy,
-    SHARD_CONTROL_LABEL, STATUS_SHARD_META,
 };
-use dabench::core::{jobs, set_jobs, tier1, Degradable, Platform, PointTrace};
+use dabench::core::{set_jobs, tier1, Degradable, Platform, PointTrace};
 use dabench::experiments::{gen as genx, infer, summary, validation};
 use dabench::faults::{render_report, resilience_sweep, PlanSpec};
 use dabench::gpu::GpuCluster;
@@ -260,10 +254,6 @@ struct AllOpts {
     resume: bool,
     deadline: Option<std::time::Duration>,
     max_retries: u32,
-    shards: usize,
-    max_respawns: u32,
-    heartbeat_ms: u64,
-    shard_stall_s: f64,
 }
 
 fn parse_all_opts(args: &[String]) -> Result<AllOpts, String> {
@@ -272,10 +262,6 @@ fn parse_all_opts(args: &[String]) -> Result<AllOpts, String> {
         resume: false,
         deadline: None,
         max_retries: 0,
-        shards: 1,
-        max_respawns: 2,
-        heartbeat_ms: 200,
-        shard_stall_s: 10.0,
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -304,34 +290,6 @@ fn parse_all_opts(args: &[String]) -> Result<AllOpts, String> {
                     .parse()
                     .map_err(|e| format!("--max-retries: {e}"))?;
             }
-            "--shards" => {
-                opts.shards = value()?.parse().map_err(|e| format!("--shards: {e}"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be at least 1".to_owned());
-                }
-            }
-            "--max-respawns" => {
-                opts.max_respawns = value()?
-                    .parse()
-                    .map_err(|e| format!("--max-respawns: {e}"))?;
-            }
-            "--heartbeat-ms" => {
-                opts.heartbeat_ms = value()?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat-ms: {e}"))?;
-                if opts.heartbeat_ms == 0 {
-                    return Err("--heartbeat-ms must be at least 1".to_owned());
-                }
-            }
-            "--shard-stall-s" => {
-                let s: f64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--shard-stall-s: {e}"))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(format!("--shard-stall-s: {s} is not a positive number"));
-                }
-                opts.shard_stall_s = s;
-            }
             other => return Err(format!("unknown flag `{other}` for all")),
         }
     }
@@ -355,16 +313,13 @@ fn run_all(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 /// Run an arbitrary ordered list of supervised point labels through the
-/// journal/resume/shard machinery (`dabench all` and `dabench gen` both
+/// journal/resume machinery (`dabench all` and `dabench gen` both
 /// funnel through here). Each label must resolve via
 /// [`render_experiment`]; point indices come from [`point_index`].
 /// Prints every completed point's text to stdout in `order`, the run
 /// report to stderr, and returns the report plus the per-label texts
 /// (`None` for failed points) so callers can post-process results.
 fn run_sweep(order: &[String], opts: &AllOpts) -> Result<(RunReport, Vec<Option<String>>), String> {
-    if opts.shards > 1 {
-        return run_sweep_sharded(order, opts);
-    }
     let injections = parse_injections()?;
     let policy = SupervisePolicy {
         deadline: opts.deadline,
@@ -373,10 +328,6 @@ fn run_sweep(order: &[String], opts: &AllOpts) -> Result<(RunReport, Vec<Option<
     };
     let (journal, replay) = match &opts.run_dir {
         Some(dir) if opts.resume => {
-            // A killed sharded parent leaves per-shard journals behind;
-            // fold them into the combined journal first so `--resume`
-            // works identically across the sharded layout.
-            fold_stale_shards(dir, order)?;
             let (j, replay) =
                 RunJournal::resume(dir).map_err(|e| format!("--resume {}: {e}", dir.display()))?;
             (Some(std::sync::Mutex::new(j)), replay)
@@ -423,11 +374,7 @@ fn run_sweep(order: &[String], opts: &AllOpts) -> Result<(RunReport, Vec<Option<
                 .ok_or_else(|| format!("unknown point `{label}`"))
         })
         .collect::<Result<_, String>>()?;
-    let cfg = RunnerConfig {
-        policy,
-        injections,
-        journal_started: false,
-    };
+    let cfg = RunnerConfig { policy, injections };
     let outcomes = run_supervised_points(&points, &cfg, journal.as_ref(), &replay)?;
 
     let mut report = RunReport::default();
@@ -445,241 +392,9 @@ fn run_sweep(order: &[String], opts: &AllOpts) -> Result<(RunReport, Vec<Option<
     Ok((report, texts))
 }
 
-/// Fold stale shard journals (left behind by a killed sharded parent)
-/// into the combined journal, then delete them. A no-op when none exist.
-/// After this, the run directory looks exactly like a single-process
-/// run's, so every resume path works unchanged.
-fn fold_stale_shards(dir: &std::path::Path, order: &[String]) -> Result<(), String> {
-    let stale = list_shard_journals(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    if stale.is_empty() {
-        return Ok(());
-    }
-    let mut sources = vec![read_journal(&RunJournal::path_in(dir)).map_err(|e| e.to_string())?];
-    for (k, path) in stale {
-        match read_journal(&path) {
-            Ok(parsed) => sources.push(parsed),
-            Err(e) => eprintln!(
-                "warning: shard {k} journal unreadable ({e}); its records are not adopted"
-            ),
-        }
-    }
-    let merged = merge_journals(order, &sources, &std::collections::BTreeMap::new());
-    write_merged(dir, &merged.text).map_err(|e| format!("journal merge: {e}"))?;
-    remove_shard_journals(dir).map_err(|e| format!("shard journal cleanup: {e}"))?;
-    Ok(())
-}
-
-/// `--shards N`: partition the sweep across worker OS processes,
-/// supervise the fleet (heartbeat liveness, crash detection, bounded
-/// respawns), then merge the per-shard journals into the combined
-/// journal — stdout and journal byte-identical to a single-process run.
-/// See docs/sharding.md.
-fn run_sweep_sharded(
-    order: &[String],
-    opts: &AllOpts,
-) -> Result<(RunReport, Vec<Option<String>>), String> {
-    // Fail on malformed DABENCH_INJECT here, with the same message a
-    // single-process run gives, rather than once per worker log.
-    parse_injections()?;
-    let (dir, ephemeral) = match &opts.run_dir {
-        Some(d) => (d.clone(), false),
-        None => (
-            std::env::temp_dir().join(format!("dabench-shards-{}", std::process::id())),
-            true,
-        ),
-    };
-    if opts.resume {
-        fold_stale_shards(&dir, order)?;
-    } else {
-        // Same refuse-to-clobber semantics as a single-process --run-dir;
-        // the handle is dropped — in sharded mode only the merge step
-        // writes the combined journal.
-        let journal =
-            RunJournal::create(&dir).map_err(|e| format!("--run-dir {}: {e}", dir.display()))?;
-        drop(journal);
-    }
-    let combined = read_journal(&RunJournal::path_in(&dir)).map_err(|e| e.to_string())?;
-    let mut replay = Replay::default();
-    for rec in &combined.records {
-        if rec.is_control() {
-            continue;
-        }
-        match (rec.status.as_deref(), rec.data.as_ref()) {
-            (Some("completed"), Some(data)) => {
-                replay.completed.insert(rec.label.clone(), data.clone());
-            }
-            (Some("metrics"), Some(data)) => {
-                replay.metrics.insert(rec.label.clone(), data.clone());
-            }
-            _ => replay.unfinished.push(rec.label.clone()),
-        }
-    }
-    replay.dropped_tail = combined.dropped_tail.clone();
-    if let Some(tail) = &replay.dropped_tail {
-        eprintln!("warning: discarded truncated journal record {tail:?}; its point will re-run");
-    }
-    if opts.resume {
-        eprintln!("{}", replay.resume_summary());
-    }
-
-    let pending: Vec<String> = order
-        .iter()
-        .filter(|l| !replay.completed.contains_key(*l))
-        .cloned()
-        .collect();
-    let capture_metrics = obs::is_enabled();
-    let statuses = if pending.is_empty() {
-        Vec::new()
-    } else {
-        let plan = plan_shards(&pending, opts.shards);
-        let cfg = ShardConfig {
-            max_respawns: opts.max_respawns,
-            heartbeat: std::time::Duration::from_millis(opts.heartbeat_ms),
-            stall_timeout: std::time::Duration::from_secs_f64(opts.shard_stall_s),
-            ..ShardConfig::default()
-        };
-        let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-        // Split this process's thread budget across the fleet so
-        // `--shards N --jobs J` uses ~J threads total, not N*J.
-        let worker_jobs = (jobs() / plan.len().max(1)).max(1);
-        let worker_dir = dir.clone();
-        let deadline = opts.deadline;
-        let max_retries = opts.max_retries;
-        let heartbeat_ms = opts.heartbeat_ms;
-        let mut spawn = move |k: usize, labels: &[String]| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("shard-worker")
-                .arg("--run-dir")
-                .arg(&worker_dir)
-                .arg("--shard")
-                .arg(k.to_string())
-                .arg("--points")
-                .arg(labels.join(","))
-                .arg("--jobs")
-                .arg(worker_jobs.to_string())
-                .arg("--heartbeat-ms")
-                .arg(heartbeat_ms.to_string());
-            if let Some(d) = deadline {
-                cmd.arg("--deadline-s").arg(format!("{}", d.as_secs_f64()));
-            }
-            if max_retries > 0 {
-                cmd.arg("--max-retries").arg(max_retries.to_string());
-            }
-            if capture_metrics {
-                cmd.arg("--capture-metrics");
-            }
-            cmd.stdout(std::process::Stdio::null());
-            let log = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(worker_dir.join(format!("shard-{k}.log")));
-            match log {
-                Ok(f) => cmd.stderr(std::process::Stdio::from(f)),
-                Err(_) => cmd.stderr(std::process::Stdio::null()),
-            };
-            cmd
-        };
-        supervise_shards(&dir, &plan, &cfg, &mut spawn)
-            .map_err(|e| format!("shard supervision: {e}"))?
-    };
-
-    // Merge: the prior combined journal first (idempotent re-merge, keeps
-    // resumed results), then the shard journals ascending.
-    let mut sources = vec![combined];
-    for (k, path) in list_shard_journals(&dir).map_err(|e| format!("{}: {e}", dir.display()))? {
-        match read_journal(&path) {
-            Ok(parsed) => sources.push(parsed),
-            Err(e) => eprintln!(
-                "warning: shard {k} journal unreadable ({e}); its unfinished points count as dropped"
-            ),
-        }
-    }
-    let mut synthetic = std::collections::BTreeMap::new();
-    for s in &statuses {
-        if let ShardOutcome::Dead { dropped } = &s.outcome {
-            let detail = s
-                .deaths
-                .last()
-                .cloned()
-                .unwrap_or_else(|| "died".to_owned());
-            for label in dropped {
-                synthetic.insert(
-                    label.clone(),
-                    SyntheticFailure {
-                        status: "failed".to_owned(),
-                        data: format!(
-                            "shard {} {detail}; respawn budget ({}) exhausted",
-                            s.shard, opts.max_respawns
-                        ),
-                    },
-                );
-            }
-        }
-    }
-    let merged = merge_journals(order, &sources, &synthetic);
-    write_merged(&dir, &merged.text).map_err(|e| format!("journal merge: {e}"))?;
-    remove_shard_journals(&dir).map_err(|e| format!("shard journal cleanup: {e}"))?;
-
-    let mut report = RunReport::default();
-    let mut texts = Vec::with_capacity(order.len());
-    for label in order {
-        match merged.points.get(label) {
-            Some(p) if p.status == "completed" => {
-                print!("{}", p.data);
-                texts.push(Some(p.data.clone()));
-                if p.source == 0 && opts.resume {
-                    report.record_status(label, "journaled", None);
-                } else {
-                    report.record_status(label, "completed", None);
-                }
-                if capture_metrics {
-                    if let Some(digest) = &p.metrics {
-                        obs::inject(
-                            digest
-                                .lines()
-                                .filter_map(PointTrace::parse_digest)
-                                .collect(),
-                        );
-                    }
-                }
-            }
-            Some(p) => {
-                report.record_status(label, &p.status, Some(p.data.clone()));
-                texts.push(None);
-            }
-            None => {
-                report.record_status(
-                    label,
-                    "failed",
-                    Some("no journal record produced".to_owned()),
-                );
-                texts.push(None);
-            }
-        }
-    }
-    emit_shard_counters(&statuses);
-    if !statuses.is_empty() {
-        eprint!("{}", render_rollups(&statuses));
-    }
-    eprint!("{}", report.render());
-    let clean = report.is_clean();
-    if ephemeral {
-        if clean {
-            let _ = std::fs::remove_dir_all(&dir);
-        } else {
-            eprintln!(
-                "run directory kept at {} (pass --resume {0} --shards {1} to retry)",
-                dir.display(),
-                opts.shards
-            );
-        }
-    }
-    Ok((report, texts))
-}
-
 /// `dabench gen`: sample a seeded scenario population at a difficulty
 /// tier, evaluate every scenario on all four platforms through the
-/// supervised sweep (full `--run-dir`/`--resume`/`--shards` support),
+/// supervised sweep (full `--run-dir`/`--resume` support),
 /// then print the ranking report and run the metamorphic invariant
 /// catalog over the journaled records.
 ///
@@ -740,7 +455,7 @@ fn run_gen(rest: &[String]) -> Result<ExitCode, String> {
     let (report, texts) = run_sweep(&order, &opts)?;
 
     // Everything downstream re-parses the journaled record texts, so a
-    // resumed or sharded run ranks exactly what a fresh run would.
+    // resumed run ranks exactly what a fresh run would.
     let records: Vec<(u64, String)> = scenarios
         .iter()
         .zip(&texts)
@@ -772,139 +487,6 @@ fn run_gen(rest: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// Hidden `dabench shard-worker` mode, spawned by `run_sweep_sharded`: run
-/// the assigned points through the shared supervised loop against this
-/// shard's own journal (`journal.shard-K.jsonl`, resumed so a respawn
-/// re-adopts its predecessor's durable records), with a heartbeat thread
-/// appending liveness records for the parent's watchdog. Writes nothing
-/// to stdout; exit 0 = clean, 2 = some points failed, 1 = hard error.
-fn run_shard_worker(rest: &[String]) -> Result<ExitCode, String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let mut dir: Option<std::path::PathBuf> = None;
-    let mut shard: Option<usize> = None;
-    let mut points_arg: Option<String> = None;
-    let mut deadline = None;
-    let mut max_retries = 0u32;
-    let mut heartbeat_ms = 200u64;
-    let mut capture_metrics = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--run-dir" => dir = Some(value()?.into()),
-            "--shard" => shard = Some(value()?.parse().map_err(|e| format!("--shard: {e}"))?),
-            "--points" => points_arg = Some(value()?),
-            "--deadline-s" => {
-                let s: f64 = value()?.parse().map_err(|e| format!("--deadline-s: {e}"))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(format!("--deadline-s: {s} is not a positive number"));
-                }
-                deadline = Some(std::time::Duration::from_secs_f64(s));
-            }
-            "--max-retries" => {
-                max_retries = value()?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?;
-            }
-            "--heartbeat-ms" => {
-                heartbeat_ms = value()?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat-ms: {e}"))?;
-                if heartbeat_ms == 0 {
-                    return Err("--heartbeat-ms must be at least 1".to_owned());
-                }
-            }
-            "--capture-metrics" => capture_metrics = true,
-            other => return Err(format!("unknown flag `{other}` for shard-worker")),
-        }
-    }
-    let dir = dir.ok_or("shard-worker needs --run-dir")?;
-    let shard = shard.ok_or("shard-worker needs --shard")?;
-    let points_arg = points_arg.ok_or("shard-worker needs --points")?;
-    let mut points: Vec<(usize, String)> = Vec::new();
-    for label in points_arg.split(',').filter(|s| !s.is_empty()) {
-        // Points keep their *global* index (experiment position, or the
-        // generated scenario's population index): retry seeds and obs
-        // point paths must match a single-process run's exactly.
-        let index =
-            point_index(label).ok_or_else(|| format!("shard-worker: unknown point `{label}`"))?;
-        points.push((index, label.to_owned()));
-    }
-    if points.is_empty() {
-        return Err("shard-worker: --points is empty".to_owned());
-    }
-    if capture_metrics {
-        obs::enable();
-    }
-    let injections = parse_injections()?;
-    let (journal, replay) = RunJournal::resume_named(&dir, &shard_journal_name(shard))
-        .map_err(|e| format!("shard {shard} journal: {e}"))?;
-    let journal = std::sync::Mutex::new(journal);
-    journal
-        .lock()
-        .expect("journal lock")
-        .append(
-            SHARD_CONTROL_LABEL,
-            STATUS_SHARD_META,
-            &format!("shard={shard} points={points_arg}"),
-        )
-        .map_err(|e| format!("shard {shard} journal: {e}"))?;
-
-    let cfg = RunnerConfig {
-        policy: SupervisePolicy {
-            deadline,
-            max_retries,
-            ..SupervisePolicy::default()
-        },
-        injections,
-        journal_started: true,
-    };
-    let stop = AtomicBool::new(false);
-    let outcomes = std::thread::scope(|scope| {
-        // Heartbeat: the parent's liveness watchdog keys on journal
-        // growth, so a live worker must append even while every point is
-        // busy. Append errors are ignored — heartbeats are advisory;
-        // point records fail loudly in the runner.
-        let beat_every = std::time::Duration::from_millis(heartbeat_ms);
-        let stop = &stop;
-        let journal = &journal;
-        let heartbeat = scope.spawn(move || {
-            let mut beat = 0u64;
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(beat_every);
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                beat += 1;
-                let _ = journal.lock().expect("journal lock").append(
-                    SHARD_CONTROL_LABEL,
-                    dabench::core::supervise::STATUS_HEARTBEAT,
-                    &format!("beat={beat}"),
-                );
-            }
-        });
-        let outcomes = run_supervised_points(&points, &cfg, Some(journal), &replay);
-        stop.store(true, Ordering::SeqCst);
-        let _ = heartbeat.join();
-        outcomes
-    })?;
-
-    let mut report = RunReport::default();
-    for ((_, name), outcome) in points.iter().zip(&outcomes) {
-        report.record(name, outcome);
-    }
-    eprint!("{}", report.render());
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
-}
-
 fn usage() -> &'static str {
     "usage: dabench <command> [options]\n\
      commands:\n\
@@ -930,16 +512,12 @@ fn usage() -> &'static str {
      \x20            --resume D    replay D's journal, re-run only missing points\n\
      \x20            --deadline-s S  wall-clock budget per point (watchdog)\n\
      \x20            --max-retries N retry transient platform errors N times\n\
-     \x20            --shards N    fan points out across N worker processes\n\
-     \x20            --max-respawns N  worker respawn budget per shard (default 2)\n\
-     \x20            --heartbeat-ms N  shard heartbeat interval (default 200)\n\
-     \x20            --shard-stall-s S kill a shard with no journal growth for S s\n\
      \x20            exit codes: 0 clean, 2 some points failed (see stderr report)\n\
      infer options: --model <preset> --batch N --prompt N --decode N\n\
      \x20             --precision fp16|bf16|cb16|fp32 --kv-precision ...|fp8 --continuous\n\
      \x20             (no flags: the default batch x prompt x KV-precision sweep)\n\
      gen options: --tier baby|easy|medium|hard|cosmic --seed N --count N\n\
-     \x20          --list-tiers   plus every `all` option (journal, resume, shards)\n\
+     \x20          --list-tiers   plus every `all` option (journal, resume)\n\
      \x20          exit codes: 0 clean, 2 point failures, 4 invariant violated\n\
      faults options: --seed N --plan dead=F,link=F,stalls=N,drop=N\n\
      bench options: --quick --list --out FILE --baseline FILE --gate PCT\n\
@@ -1049,15 +627,6 @@ fn main() -> ExitCode {
     } else if cmd == "gen" {
         // `gen` supervises one point per generated scenario, like `all`.
         match run_gen(rest) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else if cmd == "shard-worker" {
-        // Hidden: one shard of a `dabench all --shards N` fleet.
-        match run_shard_worker(rest) {
             Ok(code) => code,
             Err(e) => {
                 eprintln!("error: {e}");

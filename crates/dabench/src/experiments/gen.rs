@@ -2,12 +2,12 @@
 //! platforms across them, and enforce the metamorphic invariant catalog.
 //!
 //! The sampler itself lives in `dabench_core::gen` (pure, dependency-free
-//! so shard workers can re-derive any scenario from its label alone).
+//! so any point can re-derive its scenario from its label alone).
 //! This module is the evaluation side: map one [`Scenario`] onto all four
 //! platform models, render the outcome as a machine-parsable `gen-v1`
 //! record (the journaled point value — everything downstream re-parses
-//! records rather than reusing in-memory floats, so `--resume` and shard
-//! replay stay byte-identical), then fold a population of records into
+//! records rather than reusing in-memory floats, so `--resume` replay
+//! stays byte-identical), then fold a population of records into
 //! the ranking report (per-tier Pareto throughput/robustness + pairwise
 //! Elo) and the invariant check (fault monotonicity, FP8 KV shrinkage,
 //! batch monotonicity, OOM-wall consistency, seeded determinism). See

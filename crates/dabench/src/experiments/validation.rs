@@ -75,14 +75,16 @@ fn table1_checks() -> Vec<Check> {
             100.0 * plateau.iter().cloned().fold(0.0f64, f64::max)
         ),
     ));
-    let fail78 = t1
-        .iter()
-        .any(|r| r.layers == 78 && r.allocation_pct.is_none());
+    let cell78 = t1.iter().find(|r| r.layers == 78).map(|r| r.allocation_pct);
     checks.push(check(
         "Table I",
         "compilation fails at 78 layers (~500M params)",
-        fail78,
-        format!("78-layer cell = {:?}", t1.last().map(|r| r.allocation_pct)),
+        cell78 == Some(None),
+        match cell78 {
+            Some(Some(pct)) => format!("78-layer cell = {:.0}%", 100.0 * pct),
+            Some(None) => "78-layer cell = Fail".to_owned(),
+            None => "no 78-layer row".to_owned(),
+        },
     ));
     checks
 }
@@ -124,10 +126,11 @@ fn table2_checks() -> Vec<Check> {
         "Table II(a)",
         "O3 forward ratios land on the 2/3 - 3/4 - 1 quantization ladder",
         quantized,
-        format!(
-            "{:?}",
-            ratios.iter().map(|r| r.forward_ratio).collect::<Vec<_>>()
-        ),
+        ratios
+            .iter()
+            .map(|r| format!("{:.3}", r.forward_ratio))
+            .collect::<Vec<_>>()
+            .join(", "),
     ));
     let shards = table2::run_shards();
     checks.push(check(

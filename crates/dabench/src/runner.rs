@@ -1,19 +1,12 @@
-//! The supervised sweep loop shared by single-process `dabench all` and
-//! the hidden `dabench shard-worker` mode.
+//! The supervised sweep loop behind `dabench all` and `dabench gen`.
 //!
-//! Both callers run the same code over `(global index, label)` points:
+//! It runs `(global index, label)` points through one path:
 //! journaled-replay short-circuit, failure injection, panic/deadline/retry
 //! supervision, durable journaling of every outcome, and metrics-digest
-//! journaling so `--resume` (and the shard merge) replay byte-identical
-//! traces. The only behavioral switch is [`RunnerConfig::journal_started`]:
-//! shard workers durably journal a `started` record before running each
-//! point — the marker that lets a respawned worker count prior process
-//! lives (and lets counted `abort:N` / `exit:CODE:N` injections clear) —
-//! while the single-process path writes exactly the records it always
-//! has, keeping its journal bytes unchanged.
+//! journaling so `--resume` replays byte-identical traces.
 
 use crate::core::obs;
-use crate::core::supervise::{Injection, SupervisePolicy, STATUS_STARTED};
+use crate::core::supervise::{Injection, SupervisePolicy};
 use crate::core::{
     par_map, supervise_point, PlatformError, PointOutcome, PointTrace, Replay, RunJournal,
 };
@@ -28,10 +21,6 @@ pub struct RunnerConfig {
     pub policy: SupervisePolicy,
     /// Failure injections by point label (`DABENCH_INJECT`).
     pub injections: BTreeMap<String, Injection>,
-    /// Shard-worker mode: journal a durable [`STATUS_STARTED`] record
-    /// before each point and honor process-level injections against the
-    /// replayed start count.
-    pub journal_started: bool,
 }
 
 /// Run `points` (global experiment index, label) under supervision,
@@ -62,25 +51,6 @@ pub fn run_supervised_points(
             return PointOutcome::Journaled {
                 value: value.clone(),
             };
-        }
-        if cfg.journal_started {
-            // Durable "about to start" marker *before* any injected
-            // process death, so the count of lives spent on this point
-            // survives the crash it is about to cause.
-            let prior = replay.started.get(name).copied().unwrap_or(0);
-            if let Some(journal) = journal {
-                let appended = journal.lock().expect("journal lock").append(
-                    name,
-                    STATUS_STARTED,
-                    &format!("life={prior}"),
-                );
-                if let Err(e) = appended {
-                    note_journal_error(name, &e);
-                }
-            }
-            if let Some(injection) = cfg.injections.get(name) {
-                injection.fire_process(prior);
-            }
         }
         let injection = cfg.injections.get(name).copied();
         let attempts = AtomicU32::new(0);

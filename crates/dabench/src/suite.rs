@@ -21,8 +21,8 @@ pub const EXPERIMENTS: [&str; 11] = [
 
 /// Global point index of a supervised label: paper artifacts use their
 /// [`EXPERIMENTS`] position, generated scenarios their population index.
-/// Retry seeds and observability point paths key on this, so a shard
-/// worker must resolve the same index a single-process run would.
+/// Retry seeds and observability point paths key on this, so a resumed
+/// run must resolve the same index the original run did.
 #[must_use]
 pub fn point_index(label: &str) -> Option<usize> {
     if let Some((_, _, index)) = dabench_core::gen::parse_label(label) {
@@ -76,9 +76,9 @@ pub fn experiment_tables(name: &str) -> Option<Vec<Table>> {
 #[must_use]
 pub fn render_experiment(name: &str) -> Option<String> {
     // `gen:<tier>:s<seed>:i<index>` labels address one generated scenario:
-    // the supervised runner and shard workers resolve every point through
-    // this function, so generated populations ride the same journal,
-    // resume and sharding machinery as the paper artifacts.
+    // the supervised runner resolves every point through this function,
+    // so generated populations ride the same journal and resume
+    // machinery as the paper artifacts.
     if let Some((tier, seed, index)) = dabench_core::gen::parse_label(name) {
         return Some(gen::render_scenario(tier, seed, index));
     }
@@ -168,7 +168,7 @@ mod tests {
             "{record}"
         );
         // The scenario renderer must agree with a direct driver call —
-        // shard workers rely on this equality for journal byte-identity.
+        // journal replay relies on this equality for byte-identity.
         use crate::experiments::gen as g;
         use dabench_core::gen::Tier;
         assert_eq!(record, g::render_scenario(Tier::Baby, 42, 0));

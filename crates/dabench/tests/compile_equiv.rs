@@ -4,7 +4,7 @@
 //! cache active (the default) and once with `DABENCH_NO_INCREMENTAL=1`
 //! forcing a from-scratch graph build at every point — and the rendered
 //! bytes must be identical. The same invariant is checked across worker
-//! counts, process sharding, and journal resume, so the cache can never
+//! counts, the run journal, and journal resume, so the cache can never
 //! change an answer no matter how the sweep is scheduled.
 
 use std::path::{Path, PathBuf};
@@ -21,8 +21,7 @@ struct Run {
 ///
 /// `DABENCH_INJECT` is scrubbed (fault hooks would perturb output) and
 /// `DABENCH_NO_INCREMENTAL` is explicitly set or removed so the two modes
-/// differ in exactly one bit. Sharded workers inherit the environment, so
-/// the toggle reaches every process in a fleet.
+/// differ in exactly one bit.
 fn run_mode(args: &[&str], incremental: bool) -> Run {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dabench"));
     cmd.args(args).env_remove("DABENCH_INJECT");
@@ -112,30 +111,30 @@ fn worker_count_does_not_interact_with_the_cache() {
 }
 
 #[test]
-fn sharded_sweep_with_incremental_matches_scratch_single_process() {
-    // Reference: single process, one worker, cache disabled.
-    let ref_dir = temp_dir("shard-ref");
+fn journaled_sweep_with_incremental_matches_scratch_reference() {
+    // Reference: one worker, cache disabled.
+    let ref_dir = temp_dir("journal-ref");
     let reference = run_mode(
         &["all", "--jobs", "1", "--run-dir", ref_dir.to_str().unwrap()],
         false,
     );
     assert_eq!(reference.code, Some(0), "{}", reference.stderr);
 
-    // Candidate: three worker processes, each warming its own cache.
-    let dir = temp_dir("shard-inc");
+    // Candidate: the same journaled run with the cache on.
+    let dir = temp_dir("journal-inc");
     let r = run_mode(
-        &["all", "--shards", "3", "--run-dir", dir.to_str().unwrap()],
+        &["all", "--jobs", "1", "--run-dir", dir.to_str().unwrap()],
         true,
     );
     assert_eq!(r.code, Some(0), "{}", r.stderr);
     assert_eq!(
         r.stdout, reference.stdout,
-        "sharded incremental stdout differs from scratch reference"
+        "journaled incremental stdout differs from scratch reference"
     );
     assert_eq!(
         journal(&dir),
         journal(&ref_dir),
-        "sharded incremental journal differs from scratch reference"
+        "journaled incremental journal differs from scratch reference"
     );
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,6 @@
 //! Integration tests for `dabench gen`: the seeded scenario generator,
-//! its supervised sweep plumbing (`--jobs`/`--shards`/`--run-dir`/
-//! `--resume`), the ranking report, and the metamorphic invariant layer
+//! its supervised sweep plumbing (`--jobs`/`--run-dir`/`--resume`), the
+//! ranking report, and the metamorphic invariant layer
 //! (see docs/generation.md).
 
 use std::path::PathBuf;
@@ -64,10 +64,10 @@ fn unknown_tier_is_a_structured_error() {
 }
 
 #[test]
-fn output_is_byte_identical_across_jobs_and_shards() {
+fn output_is_byte_identical_across_jobs_and_journaled_runs() {
     // The acceptance bar: same tier+seed renders the same bytes at any
-    // worker-thread count and across a multi-process sharded run. Cosmic
-    // adds memory-edge probes, fault plans and `scale` to the points.
+    // worker-thread count, with or without a run journal. Cosmic adds
+    // memory-edge probes, fault plans and `scale` to the points.
     for (tier, count) in [("easy", "6"), ("baby", "12"), ("cosmic", "12")] {
         let base = &["gen", "--tier", tier, "--seed", "7", "--count", count];
         let serial = run(&[base as &[&str], &["--jobs", "1"]].concat());
@@ -81,13 +81,13 @@ fn output_is_byte_identical_across_jobs_and_shards() {
             );
         }
 
-        let dir = temp_dir("shards");
+        let dir = temp_dir("journaled");
         let dir_s = dir.to_str().expect("utf-8 temp path");
-        let sharded = run(&[base as &[&str], &["--shards", "3", "--run-dir", dir_s]].concat());
-        assert_eq!(sharded.code, Some(0), "{tier}: {}", sharded.stderr);
+        let journaled = run(&[base as &[&str], &["--jobs", "2", "--run-dir", dir_s]].concat());
+        assert_eq!(journaled.code, Some(0), "{tier}: {}", journaled.stderr);
         assert_eq!(
-            serial.stdout, sharded.stdout,
-            "--shards must not perturb {tier} gen output"
+            serial.stdout, journaled.stdout,
+            "--run-dir must not perturb {tier} gen output"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -121,35 +121,6 @@ fn failed_point_then_resume_is_byte_identical_to_a_clean_run() {
         resumed.stderr.contains("replayed from journal"),
         "resume must account for the journaled scenarios: {}",
         resumed.stderr
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn shard_worker_death_is_survived_by_a_respawn() {
-    // A shard worker dies (injected exit) on its first attempt at one
-    // generated scenario; the supervisor respawns it, the respawned
-    // worker counts the spent life and completes — final bytes identical
-    // to a clean single-process run. The crash-safe-journal property of
-    // docs/sharding.md applied to a generated population.
-    let base = &["gen", "--tier", "baby", "--seed", "42", "--count", "6"];
-    let clean = run(&[base as &[&str], &["--jobs", "1"]].concat());
-    assert_eq!(clean.code, Some(0), "{}", clean.stderr);
-
-    let dir = temp_dir("respawn");
-    let dir_s = dir.to_str().expect("utf-8 temp path");
-    let survived = run_with(
-        &[
-            base as &[&str],
-            &["--shards", "2", "--run-dir", dir_s, "--max-respawns", "2"],
-        ]
-        .concat(),
-        Some("gen:baby:s42:i3=exit:7:1"),
-    );
-    assert_eq!(survived.code, Some(0), "{}", survived.stderr);
-    assert_eq!(
-        clean.stdout, survived.stdout,
-        "a respawned shard fleet must render the clean run's bytes"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

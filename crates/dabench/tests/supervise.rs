@@ -353,15 +353,22 @@ fn bad_supervision_flags_are_reported() {
         (vec!["all", "--deadline-s", "-1"], "--deadline-s"),
         (vec!["all", "--max-retries", "x"], "--max-retries"),
         (vec!["all", "--frobnicate"], "unknown flag"),
+        (vec!["all", "--shards", "2"], "unknown flag"),
         (vec!["all", "--run-dir"], "needs a value"),
     ] {
         let r = run(&args, None);
         assert_eq!(r.code, Some(1), "{args:?}");
         assert!(r.stderr.contains(needle), "{args:?}: {}", r.stderr);
     }
-    let r = run(&["all"], Some("fig9=explode"));
-    assert_eq!(r.code, Some(1), "{}", r.stderr);
-    assert!(r.stderr.contains("DABENCH_INJECT"), "{}", r.stderr);
+    for inject in ["fig9=explode", "fig11=abort"] {
+        let r = run(&["all"], Some(inject));
+        assert_eq!(r.code, Some(1), "{inject}: {}", r.stderr);
+        assert!(
+            r.stderr.contains("DABENCH_INJECT"),
+            "{inject}: {}",
+            r.stderr
+        );
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! recompilation.
 //!
 //! Generators are hand-rolled (SplitMix64), matching the house style of
-//! the supervisor and sharding tests: no `proptest` runtime in the loop,
+//! the obs and generator property tests: no `proptest` runtime in the loop,
 //! every case reproducible from the printed seed.
 
 use dabench_graph::{DataflowGraph, GraphBuilder, Interner};
