@@ -107,8 +107,7 @@ pub fn set_incremental(on: bool) {
 }
 
 /// Drop every cached graph and patch basis (recorder-off state only; the
-/// recorder-on scratch dies with its point context). The bench harness
-/// calls this between cases so cold-path timings stay cold.
+/// recorder-on scratch dies with its point context).
 pub fn clear_compile_cache() {
     graph_cache().clear();
     *LAST_BUILT
@@ -206,37 +205,40 @@ pub fn training_graph(w: &TrainingWorkload) -> Arc<DataflowGraph> {
     built
 }
 
-/// Recorder-on path: per-point scratch plus compile counters. All scratch
-/// borrows are short and never re-enter the recorder; counters fire after
-/// the borrow is released.
+/// Recorder-on path: per-point scratch plus compile counters, all inside
+/// one `compile.graph` span so every counter is attributed to the compile
+/// phase. Scratch borrows are short and never re-enter the recorder;
+/// spans and counters open and fire outside them.
 fn training_graph_recorded(w: &TrainingWorkload) -> Arc<DataflowGraph> {
-    let hit = obs::with_compile_scratch(|s| s.map.get(w).cloned());
-    let Some(hit) = hit else {
-        // No open point context (e.g. recorder enabled mid-call): build
-        // without caching so nothing observable depends on timing.
-        return Arc::new(GraphBuilder::for_workload(w));
-    };
-    if let Some(g) = hit {
-        obs::counter("compile.incremental_hits", 1.0);
-        return g;
-    }
-    let basis = obs::with_compile_scratch(|s| s.last.clone()).flatten();
-    let built = build_or_patch(w, basis.as_ref());
-    obs::counter("compile.incremental_misses", 1.0);
-    match &built {
-        Built::Patched(_, patched) => {
-            obs::counter("compile.patched_nodes", *patched as f64);
+    obs::span(obs::Phase::Compile, "compile.graph", || {
+        let hit = obs::with_compile_scratch(|s| s.map.get(w).cloned());
+        let Some(hit) = hit else {
+            // No open point context (e.g. recorder enabled mid-call): build
+            // without caching so nothing observable depends on timing.
+            return Arc::new(GraphBuilder::for_workload(w));
+        };
+        if let Some(g) = hit {
+            obs::counter("compile.incremental_hits", 1.0);
+            return g;
         }
-        Built::Full(g) => {
-            obs::counter("graph.interned_symbols", g.interned_symbol_count() as f64);
+        let basis = obs::with_compile_scratch(|s| s.last.clone()).flatten();
+        let built = build_or_patch(w, basis.as_ref());
+        obs::counter("compile.incremental_misses", 1.0);
+        match &built {
+            Built::Patched(_, patched) => {
+                obs::counter("compile.patched_nodes", *patched as f64);
+            }
+            Built::Full(g) => {
+                obs::counter("graph.interned_symbols", g.interned_symbol_count() as f64);
+            }
         }
-    }
-    let g = built.graph();
-    obs::with_compile_scratch(|s| {
-        s.last = Some((w.clone(), Arc::clone(&g)));
-        s.map.insert(w.clone(), Arc::clone(&g));
-    });
-    g
+        let g = built.graph();
+        obs::with_compile_scratch(|s| {
+            s.last = Some((w.clone(), Arc::clone(&g)));
+            s.map.insert(w.clone(), Arc::clone(&g));
+        });
+        g
+    })
 }
 
 #[cfg(test)]
@@ -361,5 +363,18 @@ mod tests {
         assert_eq!(t.counter_total("compile.incremental_misses"), Some(2.0));
         assert!(t.counter_total("compile.patched_nodes").unwrap() > 0.0);
         assert!(t.counter_total("graph.interned_symbols").unwrap() > 10.0);
+        // One `compile.graph` span per call, and no counter left without
+        // a phase.
+        let spans = t
+            .events
+            .iter()
+            .filter(|e| matches!(e, obs::Event::Begin { name, .. } if name == "compile.graph"))
+            .count();
+        assert_eq!(spans, 3);
+        for e in &t.events {
+            if let obs::Event::Counter { phase, key, .. } = e {
+                assert_eq!(*phase, Some(obs::Phase::Compile), "{key}");
+            }
+        }
     }
 }

@@ -16,7 +16,6 @@
 use crate::error::PlatformError;
 use crate::platform::{ChipProfile, Platform};
 use dabench_model::TrainingWorkload;
-use serde::{Deserialize, Serialize};
 
 /// The architectural fault-geometry family of a [`Degradable`] platform.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// fault shapes a platform's architecture actually exhibits. Platforms
 /// report their own family through [`Degradable::fault_kind`] — the
 /// generator never has to guess from a display name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Wafer-scale 2-D PE grid: faults are dead rectangles / column bands
     /// (Cerebras WSE).
@@ -39,7 +38,7 @@ pub enum FaultKind {
 
 /// A rectangle of dead PEs on a 2-D fabric, in normalized `[0, 1]`
 /// coordinates so the same fault plan applies to any grid size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadRect {
     /// Left edge, fraction of grid width.
     pub col: f64,
@@ -70,7 +69,7 @@ impl DeadRect {
 }
 
 /// One injectable fault, in platform-neutral terms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
     /// A rectangle of permanently dead PEs on a 2-D fabric (WSE).
     DeadRect(DeadRect),
@@ -115,7 +114,7 @@ impl Fault {
 }
 
 /// The set of faults active during one experiment.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSet {
     /// Active faults.
     pub faults: Vec<Fault>,
@@ -216,7 +215,7 @@ impl FaultSet {
 }
 
 /// One-time cost of recovering from the faults in a plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecoveryCost {
     /// Time to re-compile / re-partition / re-balance around permanent
     /// faults, seconds.
@@ -235,7 +234,7 @@ impl RecoveryCost {
 }
 
 /// Outcome of profiling a workload on healthy and degraded hardware.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradedProfile {
     /// Profile on fault-free hardware.
     pub healthy: ChipProfile,

@@ -21,7 +21,6 @@ use crate::obs;
 use crate::platform::MemoryLevelUsage;
 use crate::report::BoundKind;
 use dabench_model::{BatchingMode, InferenceWorkload, PhaseCost};
-use serde::{Deserialize, Serialize};
 
 /// How a platform serves autoregressive inference: the compute rate it
 /// sustains on transformer GEMMs, and the memory level that must hold the
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Platform crates build one of these from their chip spec (e.g. WSE maps
 /// the KV cache to wafer SRAM at fabric bandwidth; the RDU maps it to DDR).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferModel {
     /// Platform name (e.g. `"wse"`).
     pub platform: String,
@@ -49,7 +48,7 @@ pub struct InferModel {
 }
 
 /// Derived serving profile of one workload on one platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceReport {
     /// Platform name, copied from the [`InferModel`].
     pub platform: String,
@@ -172,7 +171,7 @@ fn profile_inner(
 /// One platform's admission wall for a serving workload shape, as probed
 /// by [`max_admissible_batch`]: the largest batch the platform admits,
 /// plus the evidence for why the next size is rejected.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionProbe {
     /// Largest admitted batch size (0 when even batch 1 OOMs).
     pub max_batch: u64,

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cache;
 pub mod compile;
 mod error;
@@ -61,9 +60,6 @@ pub mod supervise;
 pub mod tier1;
 pub mod tier2;
 
-pub use bench::{
-    iter_plan, regressions, BenchKind, BenchRecord, BenchReport, IterPlan, Regression, Summary,
-};
 pub use cache::{cache_stats, tier1_cached, CacheKey, CacheStats, Memoizable};
 pub use compile::{clear_compile_cache, is_incremental, set_incremental, training_graph};
 pub use error::PlatformError;
@@ -73,7 +69,7 @@ pub use infer::{
     max_admissible_batch, profile_inference, AdmissionProbe, InferModel, InferenceReport,
 };
 pub use lru::{LruStore, StoreStats};
-pub use obs::{Phase, PointTrace, Recorder};
+pub use obs::{Phase, PointTrace};
 pub use parallel::{jobs, par_map, par_map_with, set_jobs};
 pub use platform::{
     ChipProfile, ComputeUnitSpec, HardwareSpec, MemoryLevelSpec, MemoryLevelUsage, MemoryScope,

@@ -1,10 +1,8 @@
 //! Resource allocation ratio (Eqs. 1 and 2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// One resource-allocation observation: how many units of a kind a
 /// workload (or a section) occupies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocationRecord {
     /// Resource kind, e.g. `"pe"`, `"pcu"`.
     pub kind: String,

@@ -1,9 +1,7 @@
 //! Resource-utilization efficiency.
 
-use serde::{Deserialize, Serialize};
-
 /// Achieved-vs-peak compute efficiency of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EfficiencyRecord {
     /// Achieved throughput, TFLOP/s.
     pub achieved_tflops: f64,

@@ -1,7 +1,6 @@
 //! Roofline model at the global-memory level (Sec. IV-B.3 of the paper).
 
 use crate::report::BoundKind;
-use serde::{Deserialize, Serialize};
 
 /// A roofline: peak compute throughput and global-memory bandwidth.
 ///
@@ -17,14 +16,14 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(r.classify(200.0), BoundKind::MemoryBound);
 /// assert!(r.attainable_tflops(200.0) < 278.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     peak_tflops: f64,
     bandwidth_bytes_per_s: f64,
 }
 
 /// One evaluated workload point under a roofline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RooflinePoint {
     /// Label of the workload configuration.
     pub label: String,

@@ -1,10 +1,8 @@
 //! Scaling-efficiency metrics for the Tier-2 analysis.
 
-use serde::{Deserialize, Serialize};
-
 /// Classic strong/weak-scaling figures derived from a baseline and a
 /// scaled run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingEfficiency {
     /// Units in the scaled run (chips, replicas, pipeline stages…).
     pub units: u32,

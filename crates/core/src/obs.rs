@@ -363,54 +363,6 @@ fn current_path() -> Vec<u64> {
 // Public recording API
 // ---------------------------------------------------------------------------
 
-/// Thread-safe handle to the process-wide recorder.
-///
-/// The handle is zero-sized — all state is global — but gives call sites
-/// an explicit object to thread around when that reads better than free
-/// functions. `Recorder::global().span(…)` and [`span`] are equivalent.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Recorder;
-
-impl Recorder {
-    /// The process-wide recorder.
-    #[must_use]
-    pub fn global() -> Self {
-        Recorder
-    }
-
-    /// See [`enable`].
-    pub fn enable(self) {
-        enable();
-    }
-
-    /// See [`disable`].
-    pub fn disable(self) {
-        disable();
-    }
-
-    /// See [`is_enabled`].
-    #[must_use]
-    pub fn is_enabled(self) -> bool {
-        is_enabled()
-    }
-
-    /// See [`span`].
-    pub fn span<R>(self, phase: Phase, name: &str, f: impl FnOnce() -> R) -> R {
-        span(phase, name, f)
-    }
-
-    /// See [`counter`].
-    pub fn counter(self, key: &str, value: f64) {
-        counter(key, value);
-    }
-
-    /// See [`take`].
-    #[must_use]
-    pub fn take(self) -> Vec<PointTrace> {
-        take()
-    }
-}
-
 /// Turn recording on. Until this is called every instrumentation entry
 /// point is a single relaxed atomic load.
 pub fn enable() {

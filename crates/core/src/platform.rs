@@ -2,10 +2,9 @@
 
 use crate::error::PlatformError;
 use dabench_model::TrainingWorkload;
-use serde::{Deserialize, Serialize};
 
 /// Where a memory level sits relative to the compute die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryScope {
     /// On-chip SRAM distributed with the compute units ("shared" tier in
     /// the paper's GPU-style classification).
@@ -15,7 +14,7 @@ pub enum MemoryScope {
 }
 
 /// Static description of one memory level of a chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryLevelSpec {
     /// Level name, e.g. `"pe-sram"`, `"ddr"`.
     pub name: String,
@@ -28,7 +27,7 @@ pub struct MemoryLevelSpec {
 }
 
 /// Static description of one compute-unit population of a chip.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComputeUnitSpec {
     /// Unit kind, e.g. `"pe"`, `"pcu"`, `"pmu"`, `"tile"`.
     pub kind: String,
@@ -38,7 +37,7 @@ pub struct ComputeUnitSpec {
 
 /// Static hardware description of a chip, assembled from vendor data
 /// sheets (Sec. II-B of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareSpec {
     /// Marketing name, e.g. `"Cerebras WSE-2"`.
     pub name: String,
@@ -83,7 +82,7 @@ impl HardwareSpec {
 /// `resources` is the number of compute units allocated to the task and
 /// `throughput` its per-task processing rate (any consistent unit — the
 /// load-imbalance metric is scale-free).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskProfile {
     /// Task name.
     pub name: String,
@@ -107,7 +106,7 @@ impl TaskProfile {
 
 /// Profiling record of one RDU-style *section*: a subgraph executed as a
 /// unit, with its runtime used as weight in Eqs. 2 and 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SectionProfile {
     /// Section name.
     pub name: String,
@@ -120,7 +119,7 @@ pub struct SectionProfile {
 }
 
 /// Runtime usage of one memory level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryLevelUsage {
     /// Level name, matching a [`MemoryLevelSpec`].
     pub name: String,
@@ -149,7 +148,7 @@ impl MemoryLevelUsage {
 /// unsectioned `unit_usage`; section-sequential chips (RDU) fill
 /// `sections`, and the framework applies the paper's time-weighted
 /// averaging (Eqs. 2 and 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipProfile {
     /// Per-resource-kind allocation for whole-graph mappings:
     /// `(kind, used, available)`.
@@ -199,7 +198,7 @@ pub trait Platform {
 
 /// A multi-chip (or multi-region) scaling strategy, classified through the
 /// classical DP/TP/PP lens of Sec. IV-C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParallelStrategy {
     /// Data parallelism with `replicas` model copies (intra-chip on WSE-2).
     DataParallel {
@@ -222,7 +221,7 @@ pub enum ParallelStrategy {
 }
 
 /// Result of scaling a workload with a [`ParallelStrategy`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingProfile {
     /// Strategy that produced this profile.
     pub strategy: ParallelStrategy,

@@ -1,11 +1,10 @@
 //! Report types assembled by the framework drivers.
 
 use crate::platform::MemoryLevelUsage;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which roof limits a workload in the roofline model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoundKind {
     /// Limited by peak compute.
     ComputeBound,
@@ -23,7 +22,7 @@ impl fmt::Display for BoundKind {
 }
 
 /// The complete Tier-1 (intra-chip) report for one workload on one chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tier1Report {
     /// Platform name.
     pub platform: String,
@@ -122,7 +121,7 @@ impl Tier1Report {
 }
 
 /// One point of a Tier-2 batch-size sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchPoint {
     /// Batch size in sequences.
     pub batch_size: u64,
@@ -132,7 +131,7 @@ pub struct BatchPoint {
 }
 
 /// One point of a Tier-2 precision sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrecisionPoint {
     /// Precision label (e.g. `"fp16"`, `"mixed(bf16)"`).
     pub label: String,
@@ -163,7 +162,7 @@ pub fn batch_saturation_point(points: &[BatchPoint], fraction: f64) -> Option<u6
 }
 
 /// The Tier-2 (deployment-optimization) report for one chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tier2Report {
     /// Platform name.
     pub platform: String,

@@ -29,7 +29,6 @@
 
 #![forbid(unsafe_code)]
 
-use dabench::bench_suite::run_bench;
 use dabench::core::obs;
 use dabench::core::supervise::{
     parse_injections, Injection, Replay, RunJournal, RunReport, SupervisePolicy,
@@ -502,7 +501,6 @@ fn usage() -> &'static str {
        tier1 <wse|rdu-o0|rdu-o1|rdu-o3|ipu|gpu>  profile one workload\n\
        summary                           all platforms, one workload\n\
        faults <wse|rdu-o0|rdu-o1|rdu-o3|ipu>     resilience sweep\n\
-       bench                             deterministic perf harness (BENCH_sweeps.json)\n\
      options: --hidden N --layers N --batch N --seq N\n\
               --precision fp16|bf16|cb16|fp32 --model <preset>\n\
               --jobs N   worker threads (default: all cores; also DABENCH_JOBS)\n\
@@ -520,9 +518,6 @@ fn usage() -> &'static str {
      \x20          --list-tiers   plus every `all` option (journal, resume)\n\
      \x20          exit codes: 0 clean, 2 point failures, 4 invariant violated\n\
      faults options: --seed N --plan dead=F,link=F,stalls=N,drop=N\n\
-     bench options: --quick --list --out FILE --baseline FILE --gate PCT\n\
-     \x20              --filter SUBSTR --record LABEL\n\
-     \x20              exit codes: 0 clean, 3 regression past the gate\n\
      csv targets: table1-4 fig6-12 ablations sensitivity infer gen"
 }
 
@@ -628,16 +623,6 @@ fn main() -> ExitCode {
         // `gen` supervises one point per generated scenario, like `all`.
         match run_gen(rest) {
             Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else if cmd == "bench" {
-        // `bench` owns the recorder (per-case profile passes) and the
-        // exit code (3 = perf regression past the gate).
-        match run_bench(rest) {
-            Ok(code) => ExitCode::from(code),
             Err(e) => {
                 eprintln!("error: {e}");
                 ExitCode::FAILURE

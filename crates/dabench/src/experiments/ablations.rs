@@ -10,10 +10,9 @@ use crate::render::Table;
 use dabench_model::{ModelConfig, Precision, TrainingWorkload};
 use dabench_rdu::{execute_sections, partition, CompilationMode, RduCompilerParams, RduSpec};
 use dabench_wse::{compile, execute, WseCompilerParams, WseSpec};
-use serde::{Deserialize, Serialize};
 
 /// One ablation observation: a parameter value and the metrics under it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationRow {
     /// Swept parameter value.
     pub value: f64,

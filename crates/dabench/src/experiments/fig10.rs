@@ -8,10 +8,9 @@ use dabench_core::{tier1, BoundKind, Platform};
 use dabench_ipu::Ipu;
 use dabench_rdu::{CompilationMode, Rdu};
 use dabench_wse::Wse;
-use serde::{Deserialize, Serialize};
 
 /// One roofline point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig10Row {
     /// Platform name.
     pub platform: String,

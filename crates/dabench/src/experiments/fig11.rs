@@ -8,10 +8,9 @@ use dabench_ipu::{pipeline_with_allocation, Ipu};
 use dabench_model::{ModelConfig, Precision, TrainingWorkload};
 use dabench_rdu::{tensor_parallel, CompilationMode, Rdu};
 use dabench_wse::{data_parallel, Wse};
-use serde::{Deserialize, Serialize};
 
 /// One point of Fig. 11(a): WSE throughput vs replica count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WseReplicaRow {
     /// Replica count.
     pub replicas: u32,
@@ -24,7 +23,7 @@ pub struct WseReplicaRow {
 }
 
 /// One point of Fig. 11(b): RDU per-chip utilization vs TP degree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RduTpRow {
     /// TP degree.
     pub degree: u32,
@@ -37,7 +36,7 @@ pub struct RduTpRow {
 }
 
 /// One point of Fig. 11(c): IPU throughput vs layer allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IpuAllocationRow {
     /// Layers per decoder IPU.
     pub allocation: Vec<u64>,

@@ -7,10 +7,9 @@ use dabench_ipu::Ipu;
 use dabench_model::{ModelConfig, Precision, TrainingWorkload};
 use dabench_rdu::{CompilationMode, Rdu};
 use dabench_wse::Wse;
-use serde::{Deserialize, Serialize};
 
 /// Batch-size series of one platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig12Series {
     /// Platform name.
     pub platform: String,

@@ -4,10 +4,9 @@
 use super::workloads::wse_probe;
 use crate::render::Table;
 use dabench_wse::{compile, KernelKind, Wse};
-use serde::{Deserialize, Serialize};
 
 /// One point of the Fig. 6 series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Row {
     /// Decoder layer count.
     pub layers: u64,

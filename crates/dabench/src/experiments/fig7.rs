@@ -6,10 +6,9 @@ use crate::render::Table;
 use dabench_core::{par_map, tier1_cached, with_point_label};
 use dabench_model::TrainingWorkload;
 use dabench_rdu::{CompilationMode, Rdu};
-use serde::{Deserialize, Serialize};
 
 /// One point of the Fig. 7 series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Row {
     /// Compilation mode.
     pub mode: String,

@@ -6,10 +6,9 @@ use dabench_core::{par_map, tier1_cached, with_point_label};
 use dabench_model::TrainingWorkload;
 use dabench_rdu::{CompilationMode, Rdu};
 use dabench_wse::Wse;
-use serde::{Deserialize, Serialize};
 
 /// One LI observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Row {
     /// Series label (`"wse"`, `"rdu-o1"`, `"rdu-o3"`).
     pub series: String,

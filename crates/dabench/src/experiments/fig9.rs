@@ -10,10 +10,9 @@ use dabench_core::{par_map, tier1_cached, with_point_label};
 use dabench_ipu::Ipu;
 use dabench_rdu::{CompilationMode, Rdu};
 use dabench_wse::{compile, execute, Wse};
-use serde::{Deserialize, Serialize};
 
 /// One point of Fig. 9(a): WSE memory breakdown and compute utilization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WseMemoryRow {
     /// Decoder layer count.
     pub layers: u64,
@@ -30,7 +29,7 @@ pub struct WseMemoryRow {
 }
 
 /// One point of Fig. 9(b)/(c): RDU TFLOPs per mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RduTflopsRow {
     /// Compilation mode.
     pub mode: String,
@@ -41,7 +40,7 @@ pub struct RduTflopsRow {
 }
 
 /// One point of Fig. 9(d): IPU memory and TFLOPs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IpuRow {
     /// Decoder layer count.
     pub layers: u64,

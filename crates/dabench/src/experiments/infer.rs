@@ -18,7 +18,6 @@ use dabench_ipu::{IpuCompilerParams, IpuSpec};
 use dabench_model::{BatchingMode, InferenceWorkload, ModelConfig, Precision};
 use dabench_rdu::{RduCompilerParams, RduSpec};
 use dabench_wse::{WseCompilerParams, WseSpec};
-use serde::{Deserialize, Serialize};
 
 /// Platform column order, fixed across every table.
 pub const PLATFORMS: [&str; 4] = ["wse", "rdu", "ipu", "gpu"];
@@ -37,7 +36,7 @@ const DECODE_LEN: u64 = 128;
 /// One (platform, workload) point of the sweep. `report` is `None` when
 /// the platform's KV level cannot hold weights + cache — rendered as an
 /// OOM cell, never dropped.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferRow {
     /// Platform name.
     pub platform: String,

@@ -2,8 +2,7 @@
 //! evaluation (Secs. V and VI).
 //!
 //! Every module exposes `run()` returning typed rows and `render()`
-//! producing the paper-shaped text table; `dabench bench` times exactly
-//! these entry points. See DESIGN.md for the
+//! producing the paper-shaped text table. See DESIGN.md for the
 //! experiment index and EXPERIMENTS.md for paper-vs-measured numbers.
 
 pub mod ablations;

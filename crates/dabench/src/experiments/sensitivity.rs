@@ -13,12 +13,11 @@ use dabench_core::{par_map, with_point_label, Platform};
 use dabench_ipu::{Ipu, IpuCompilerParams, IpuSpec};
 use dabench_rdu::{CompilationMode, Rdu, RduCompilerParams, RduSpec};
 use dabench_wse::{Wse, WseCompilerParams, WseSpec};
-use serde::{Deserialize, Serialize};
 
 /// Elasticity of throughput with respect to one hardware parameter:
 /// relative throughput gain per relative parameter improvement
 /// (1.0 = perfectly proportional, 0.0 = insensitive).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityRow {
     /// Platform name.
     pub platform: String,

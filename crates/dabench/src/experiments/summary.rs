@@ -11,10 +11,9 @@ use dabench_ipu::Ipu;
 use dabench_model::TrainingWorkload;
 use dabench_rdu::{CompilationMode, Rdu};
 use dabench_wse::Wse;
-use serde::{Deserialize, Serialize};
 
 /// One platform's summary line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SummaryRow {
     /// Platform name.
     pub platform: String,

@@ -4,10 +4,9 @@ use super::workloads::{wse_probe, WSE_LAYER_SWEEP};
 use crate::render::{pct_or_fail, Table};
 use dabench_core::par_map;
 use dabench_wse::{compile, Wse};
-use serde::{Deserialize, Serialize};
 
 /// One cell of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Decoder layer count.
     pub layers: u64,

@@ -3,10 +3,9 @@
 use super::workloads::{rdu_o1_probe, rdu_probe, RDU_HS_SWEEP, RDU_O1_HS_SWEEP};
 use crate::render::Table;
 use dabench_rdu::{o3_ratios, partition, shard_lm_head, CompilationMode, Rdu};
-use serde::{Deserialize, Serialize};
 
 /// One row of Table II(a).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct O3PartitionRow {
     /// Hidden size.
     pub hidden_size: u64,
@@ -21,7 +20,7 @@ pub struct O3PartitionRow {
 }
 
 /// One row of Table II(b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardRow {
     /// Hidden size.
     pub hidden_size: u64,

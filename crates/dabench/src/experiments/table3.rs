@@ -8,10 +8,9 @@ use dabench_ipu::Ipu;
 use dabench_model::{ModelConfig, Precision, TrainingWorkload};
 use dabench_rdu::{CompilationMode, Rdu};
 use dabench_wse::Wse;
-use serde::{Deserialize, Serialize};
 
 /// One column of Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
     /// Device family (`"WSE-2"`, `"IPU"`, `"RDU"`, `"GPU"`).
     pub device: String,

@@ -6,10 +6,9 @@ use dabench_ipu::Ipu;
 use dabench_model::{ModelConfig, Precision, TrainingWorkload};
 use dabench_rdu::{CompilationMode, Rdu};
 use dabench_wse::Wse;
-use serde::{Deserialize, Serialize};
 
 /// One cell of Table IV.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Row {
     /// Device family.
     pub device: String,

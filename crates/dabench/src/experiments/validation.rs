@@ -8,10 +8,9 @@
 use super::{fig10, fig11, fig12, fig6, fig7, fig8, fig9, table1, table2, table3, table4};
 use crate::render::Table;
 use dabench_core::{par_map, BoundKind};
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one claim check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Check {
     /// Paper artifact the claim belongs to.
     pub artifact: String,

@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_suite;
 pub mod experiments;
 pub mod render;
 pub mod runner;

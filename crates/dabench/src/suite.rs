@@ -1,10 +1,5 @@
 //! The experiment suite as a library: every paper artifact the CLI can
 //! render, addressable by name.
-//!
-//! This used to live in the `dabench` binary; it moved here so the
-//! macro-benchmark harness ([`crate::bench_suite`]) can time the *exact*
-//! renderings the CLI prints, instead of maintaining parallel workload
-//! definitions.
 
 use crate::core::par_map;
 use crate::experiments::{

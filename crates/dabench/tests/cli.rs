@@ -48,9 +48,18 @@ fn summary_prints_all_platforms() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let (ok, _, stderr) = run(&["frobnicate"]);
-    assert!(!ok);
-    assert!(stderr.contains("usage"));
+    // `bench` must stay unknown: perfbench/ is the only benchmark harness.
+    for cmd in ["frobnicate", "bench"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dabench"))
+            .arg(cmd)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage"),
+            "{cmd}"
+        );
+    }
 }
 
 #[test]

@@ -13,6 +13,7 @@
 //!
 //! then review the diff like any other code change (see tests/README.md).
 
+use dabench::suite::EXPERIMENTS;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -86,31 +87,6 @@ fn assert_golden(name: &str, actual: &str) {
     );
 }
 
-/// Zero out every timing-derived field (`kept`, `median_ns`, `mad_ns`,
-/// `min_ns`, `max_ns`) so a BENCH report can be pinned as a golden
-/// snapshot: what remains — schema, benchmark set and order, plans,
-/// phases, counters, trajectory labels — is fully deterministic.
-fn normalize_bench_timings(json: &str) -> String {
-    const KEYS: [&str; 5] = ["kept", "median_ns", "mad_ns", "min_ns", "max_ns"];
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json;
-    'outer: while !rest.is_empty() {
-        for key in KEYS {
-            let tag = format!("\"{key}\":");
-            if let Some(tail) = rest.strip_prefix(&tag) {
-                out.push_str(&tag);
-                out.push('0');
-                rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
-                continue 'outer;
-            }
-        }
-        let c = rest.chars().next().unwrap();
-        out.push(c);
-        rest = &rest[c.len_utf8()..];
-    }
-    out
-}
-
 #[test]
 fn check_scorecard_matches_golden() {
     let r = run(&["check"]);
@@ -130,29 +106,6 @@ fn table3_rendering_matches_golden() {
     let r = run(&["table3"]);
     assert_eq!(r.code, Some(0), "{}", r.stderr);
     assert_golden("table3.stdout.golden", &r.stdout);
-}
-
-#[test]
-fn bench_list_matches_golden() {
-    let r = run(&["bench", "--list"]);
-    assert_eq!(r.code, Some(0), "{}", r.stderr);
-    assert_golden("bench_list.stdout.golden", &r.stdout);
-}
-
-#[test]
-fn bench_report_shape_matches_golden() {
-    // Pins the BENCH_sweeps.json structure end to end — schema string, the
-    // benchmark roster in suite order, iteration plans, per-phase span
-    // counts and obs counter totals from the profile pass — with the
-    // machine-dependent timings normalized to zero.
-    let out =
-        std::env::temp_dir().join(format!("dabench_golden_bench_{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&out);
-    let r = run(&["bench", "--quick", "--out", out.to_str().unwrap()]);
-    assert_eq!(r.code, Some(0), "{}", r.stderr);
-    let json = std::fs::read_to_string(&out).expect("report written");
-    let _ = std::fs::remove_file(&out);
-    assert_golden("bench_report.shape.golden", &normalize_bench_timings(&json));
 }
 
 #[test]
@@ -206,4 +159,27 @@ fn check_metrics_table_matches_golden() {
     let r = run(&["check", "--metrics"]);
     assert_eq!(r.code, Some(0), "{}", r.stderr);
     assert_golden("check.metrics.golden", &r.stderr);
+}
+
+#[test]
+fn experiment_metrics_tables_match_golden() {
+    // Pins, for every experiment other than `check` (pinned above), the
+    // phases its spans land in, the span counts, and the counter totals
+    // of its `--metrics` table. Each table is rendered at one worker and
+    // at four, and both must equal the snapshot: observability output
+    // must not depend on `--jobs`.
+    let mut snapshot = String::new();
+    let others = ["ablations", "sensitivity", "infer"];
+    for name in EXPERIMENTS.into_iter().chain(others) {
+        let one = run(&[name, "--metrics", "--jobs", "1"]);
+        assert_eq!(one.code, Some(0), "{name}: {}", one.stderr);
+        let four = run(&[name, "--metrics", "--jobs", "4"]);
+        assert_eq!(four.code, Some(0), "{name}: {}", four.stderr);
+        assert_eq!(
+            one.stderr, four.stderr,
+            "{name}: --metrics differs across --jobs"
+        );
+        snapshot.push_str(&format!("### dabench {name} --metrics\n{}\n", one.stderr));
+    }
+    assert_golden("experiments.metrics.golden", &snapshot);
 }

@@ -1,9 +1,7 @@
 //! GPU hardware description.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of one data-center GPU and its cluster links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Peak 16-bit tensor-core throughput, TFLOP/s.
     pub peak_tflops: f64,

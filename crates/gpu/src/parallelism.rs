@@ -3,10 +3,9 @@
 use crate::chip::GpuSpec;
 use dabench_core::PlatformError;
 use dabench_model::TrainingWorkload;
-use serde::{Deserialize, Serialize};
 
 /// A 3D parallel layout: tensor × pipeline × data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MegatronConfig {
     /// Tensor-parallel degree (kept within one node in practice).
     pub tp: u32,
@@ -44,7 +43,7 @@ impl MegatronConfig {
 }
 
 /// Outcome of one Megatron-style training-step estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuRun {
     /// Layout evaluated.
     pub config: MegatronConfig,

@@ -2,7 +2,6 @@
 
 use crate::graph::{DataflowGraph, NodeId};
 use dabench_model::ops::{OpClass, Phase};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregate statistics of a dataflow graph.
@@ -18,7 +17,7 @@ use std::collections::BTreeMap;
 /// assert!(stats.matmul_flops_fraction() > 0.9);
 /// assert!(stats.depth > 20); // fwd + bwd chains of a 2-layer stack
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Node count.
     pub nodes: usize,

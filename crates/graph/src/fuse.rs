@@ -7,10 +7,9 @@
 //! simple chain, and report the resulting groups.
 
 use crate::graph::{DataflowGraph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// One fusion group: a matmul anchor plus absorbed neighbours.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusionGroup {
     /// Anchor node (a matmul, or a standalone non-fusable node).
     pub anchor: NodeId,

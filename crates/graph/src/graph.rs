@@ -9,14 +9,13 @@
 
 use crate::intern::{Interner, Symbol};
 use dabench_model::ops::{Op, OpClass, OpCost, Phase};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
 /// Index of a node in a [`DataflowGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -58,7 +57,7 @@ impl Error for GraphError {}
 /// Whole-step aggregate costs, accumulated once at graph construction in
 /// node order (so floating-point sums are bitwise reproducible) and read
 /// by the platform compilers instead of re-walking the operator list.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepSummary {
     /// FLOPs over all nodes.
     pub total_flops: f64,

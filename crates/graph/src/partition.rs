@@ -5,8 +5,6 @@
 //! primitive: split a weighted sequence into contiguous groups subject to a
 //! balance or capacity objective.
 
-use serde::{Deserialize, Serialize};
-
 /// A contiguous partition of `0..n` into groups, stored as group boundaries.
 ///
 /// # Example
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.group_of(4), Some(1));
 /// assert_eq!(p.groups().count(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// Exclusive end index of each group; the last entry equals `n`.
     ends: Vec<usize>,

@@ -2,10 +2,9 @@
 
 use crate::chip::{IpuCompilerParams, IpuSpec};
 use dabench_model::{Precision, TrainingWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Decomposed BSP costs of one decoder layer processing one sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BspCosts {
     /// Compute-phase time, seconds.
     pub compute_s: f64,

@@ -1,9 +1,7 @@
 //! Bow-2000 hardware description and compiler tuning parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Static hardware description of one IPU (a Bow-2000 carries four).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IpuSpec {
     /// Tiles per IPU.
     pub tiles: u64,
@@ -68,7 +66,7 @@ impl Default for IpuSpec {
 }
 
 /// Tuning constants of the (modelled) Poplar compiler and PopTorch runtime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IpuCompilerParams {
     /// FLOPs-per-token one tile should own before extra tiles stop paying
     /// off; sets the per-layer tile demand (the Fig. 9(d) plateau at ~4

@@ -2,10 +2,9 @@
 
 use crate::chip::{IpuCompilerParams, IpuSpec};
 use dabench_model::TrainingWorkload;
-use serde::{Deserialize, Serialize};
 
 /// Memory footprint of one IPU's assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IpuMemoryUse {
     /// Weights + gradients + optimizer state, bytes.
     pub state_bytes: u64,

@@ -7,10 +7,9 @@ use dabench_core::PlatformError;
 use dabench_graph::partition::balanced_contiguous;
 use dabench_model::TrainingWorkload;
 use dabench_sim::{steady_state_analysis, PipelineStage};
-use serde::{Deserialize, Serialize};
 
 /// Load and timing of one pipeline stage (one IPU).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageLoad {
     /// Stage label, e.g. `"ipu1 (4 layers)"`.
     pub name: String,
@@ -25,7 +24,7 @@ pub struct StageLoad {
 }
 
 /// Outcome of a pipeline-parallel execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelinePlan {
     /// Per-IPU stage loads (embedding IPU first).
     pub stages: Vec<StageLoad>,

@@ -3,7 +3,6 @@
 use crate::config::ModelConfig;
 use crate::ops::{self, Phase};
 use crate::precision::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Activation memory required by one training step.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let act = ActivationMemory::for_step(&cfg, 8, 1024, Precision::Fp16);
 /// assert!(act.stored_bytes() > act.peak_working_bytes());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivationMemory {
     stored_bytes: u64,
     peak_working_bytes: u64,

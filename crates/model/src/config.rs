@@ -1,10 +1,9 @@
 //! Decoder-only transformer architecture descriptions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Normalization layer variant used inside decoder blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Normalization {
     /// LayerNorm with learned scale and bias (GPT-2).
     LayerNorm,
@@ -13,7 +12,7 @@ pub enum Normalization {
 }
 
 /// Feed-forward activation function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// GELU as used by GPT-2 (two-matrix MLP).
     Gelu,
@@ -22,7 +21,7 @@ pub enum Activation {
 }
 
 /// Positional-encoding scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PositionalEncoding {
     /// Learned absolute position embeddings (GPT-2).
     Learned,
@@ -47,7 +46,7 @@ pub enum PositionalEncoding {
 /// let p = m.parameter_count();
 /// assert!(p > 115_000_000 && p < 135_000_000, "param count {p}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelConfig {
     /// Human-readable name, e.g. `"gpt2-small"`.
     pub name: String,

@@ -12,7 +12,6 @@
 
 use crate::config::ModelConfig;
 use crate::precision::Precision;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -52,7 +51,7 @@ impl fmt::Display for InferenceWorkloadError {
 impl Error for InferenceWorkloadError {}
 
 /// How requests are scheduled onto the accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BatchingMode {
     /// All `batch_size` prompts are prefilled together, then decoded in
     /// lock-step; a request's first token waits for the whole batch's
@@ -88,7 +87,7 @@ impl fmt::Display for BatchingMode {
 /// The KV cache may be stored at a narrower precision than the compute
 /// format (`kv_precision`), mirroring how [`crate::PrecisionPolicy`]
 /// distinguishes compute from master-copy storage for training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceWorkload {
     model: ModelConfig,
     batch_size: u64,
@@ -105,7 +104,7 @@ pub struct InferenceWorkload {
 /// prefill only *writes* the cache (scores are formed from K/V tiles still
 /// resident in the compute units), while every decode step *reads* the
 /// whole cache and writes one new position.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseCost {
     /// Floating-point operations.
     pub flops: f64,

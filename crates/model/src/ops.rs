@@ -10,11 +10,10 @@
 //! workload level where the numeric precision is known.
 
 use crate::config::{Activation, ModelConfig, Normalization, PositionalEncoding};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Coarse operator class, used by partitioners and fusion rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpClass {
     /// Token (+ positional) embedding lookup.
     Embedding,
@@ -112,7 +111,7 @@ impl fmt::Display for OpClass {
 }
 
 /// Training phase an operator belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Forward pass.
     Forward,
@@ -127,7 +126,7 @@ pub enum Phase {
 /// `flops` already includes batch and sequence dimensions; `in_elems` /
 /// `out_elems` are activation tensor sizes in elements; `params` counts the
 /// weights owned by the operator (zero for elementwise ops).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Op {
     /// Unique name within the step, e.g. `"l3.attn_scores.fwd"`.
     pub name: String,
@@ -164,7 +163,7 @@ impl fmt::Display for Op {
 /// Numeric cost fields of one operator — everything about an op except its
 /// identity. Separated from [`Op`] so incremental recompilation can rebuild
 /// the costs of an existing graph topology without re-rendering any names.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCost {
     /// Floating-point operations for the whole step (batch included).
     pub flops: f64,

@@ -1,6 +1,5 @@
 //! Numeric precision formats supported by the benchmarked accelerators.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A numeric storage/compute format for model weights and activations.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(Precision::Fp16.bytes_per_element(), 2);
 /// assert!(Precision::Fp32.bytes_per_element() > Precision::Bf16.bytes_per_element());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// IEEE 754 single precision (32-bit).
     Fp32,
@@ -89,7 +88,7 @@ impl fmt::Display for Precision {
 /// // Mixed precision keeps an FP32 master copy, so optimizer state is wider.
 /// assert_eq!(mixed.master_bytes_per_param(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrecisionPolicy {
     compute: Precision,
     mixed: bool,

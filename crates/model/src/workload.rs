@@ -5,7 +5,6 @@ use crate::config::ModelConfig;
 use crate::intensity::arithmetic_intensity;
 use crate::ops::{self, Op, Phase};
 use crate::precision::Precision;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fully specified LLM training workload: model architecture, global batch
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert_eq!(w.tokens_per_step(), 16 * 1024);
 /// assert!(w.arithmetic_intensity() > 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TrainingWorkload {
     model: ModelConfig,
     batch_size: u64,

@@ -1,9 +1,7 @@
 //! SN30 hardware description and compiler tuning parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Static hardware description of one RDU (the SN30 node holds two).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RduSpec {
     /// Tiles per RDU.
     pub tiles: u64,
@@ -81,7 +79,7 @@ impl Default for RduSpec {
 }
 
 /// Tuning constants of the (modelled) SambaFlow compiler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RduCompilerParams {
     /// Conservative per-op PCU template: `pcus = sqrt(flops/invocation) /
     /// sqrt_flops_per_pcu`, clamped to the section budget.

@@ -8,11 +8,10 @@ use dabench_core::compile::training_graph;
 use dabench_graph::{DataflowGraph, NodeRef};
 use dabench_model::ops::{OpClass, Phase};
 use dabench_model::TrainingWorkload;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// SambaFlow graph compilation mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompilationMode {
     /// Operator mode: every operator class is its own section, invoked
     /// once per decoder layer.

@@ -3,7 +3,6 @@
 use crate::chip::{RduCompilerParams, RduSpec};
 use crate::section::Section;
 use dabench_model::{Precision, TrainingWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Relative PCU throughput of a precision flow.
 ///
@@ -34,7 +33,7 @@ fn precision_traffic_factor(p: Precision) -> f64 {
 }
 
 /// Timing of one section over a whole training step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SectionTiming {
     /// Section name.
     pub name: String,
@@ -47,7 +46,7 @@ pub struct SectionTiming {
 }
 
 /// Outcome of executing a section schedule on one RDU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RduExecution {
     /// Per-section timing, aligned with the input sections.
     pub timings: Vec<SectionTiming>,

@@ -1,11 +1,10 @@
 //! Sections: the RDU's unit of graph loading and execution.
 
 use crate::chip::{RduCompilerParams, RduSpec};
-use serde::{Deserialize, Serialize};
 
 /// PCU assignment of one operator inside a section (drives the paper's
 /// operator-level load-imbalance metric).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpAssignment {
     /// Operator name.
     pub name: String,
@@ -30,7 +29,7 @@ impl OpAssignment {
 
 /// One section: a subgraph loaded onto the fabric and invoked one or more
 /// times per training step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Section {
     /// Section name, e.g. `"o3.decoders.fwd.3"` or `"op.l0.qkv_proj.fwd"`.
     pub name: String,

@@ -7,10 +7,9 @@
 //! modelled here.
 
 use crate::chip::RduCompilerParams;
-use serde::{Deserialize, Serialize};
 
 /// Sharding decision for the LM head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Number of matrix shards.
     pub shards: u64,

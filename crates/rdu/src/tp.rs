@@ -6,10 +6,9 @@ use crate::schedule::execute_sections;
 use crate::section::Section;
 use dabench_core::PlatformError;
 use dabench_model::TrainingWorkload;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a tensor-parallel execution across `degree` RDUs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TpPlan {
     /// TP degree (number of RDUs).
     pub degree: u32,

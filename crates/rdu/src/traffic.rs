@@ -5,10 +5,9 @@
 //! categories a compiler engineer would optimize separately.
 
 use crate::section::Section;
-use serde::{Deserialize, Serialize};
 
 /// Per-category DDR traffic of one training step, bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficReport {
     /// Weight reads (per section invocation).
     pub weight_bytes: u64,

@@ -1,7 +1,6 @@
 //! The event-driven execution engine.
 
 use crate::stats::{SimResult, TaskTiming};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::error::Error;
@@ -12,7 +11,7 @@ pub type TaskId = usize;
 
 /// A finite-capacity execution resource (a kernel region, a section
 /// executor, an IPU, a link…). `capacity` tasks may run concurrently.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resource {
     name: String,
     capacity: u32,
@@ -62,7 +61,7 @@ impl Resource {
 
 /// A unit of work: runs for `duration` seconds on resource `resource`,
 /// after all of its dependencies have completed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     name: String,
     resource: usize,

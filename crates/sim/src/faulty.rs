@@ -11,10 +11,9 @@
 
 use crate::engine::{SimError, Simulation, TaskId, TaskSpec};
 use crate::stats::SimResult;
-use serde::{Deserialize, Serialize};
 
 /// A fault injected into one simulated task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TaskFault {
     /// The task stalls for `stall_s` on each of `failures` attempts before
     /// succeeding; each failed attempt is followed by a backoff delay.
@@ -30,7 +29,7 @@ pub enum TaskFault {
 }
 
 /// Exponential-backoff retry policy for transient faults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Backoff after the first failed attempt, seconds.
     pub base_backoff_s: f64,
@@ -66,7 +65,7 @@ impl RetryPolicy {
 }
 
 /// Checkpoint/restart cost model for permanent-fault recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointModel {
     /// Time between checkpoints, seconds.
     pub interval_s: f64,
@@ -107,7 +106,7 @@ impl CheckpointModel {
 }
 
 /// Retry bookkeeping for one faulted task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetryRecord {
     /// Id of the faulted task.
     pub task: TaskId,
@@ -120,7 +119,7 @@ pub struct RetryRecord {
 }
 
 /// Outcome of a fault-injected run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultyRun {
     /// Timings with retry penalties folded into faulted tasks.
     pub result: SimResult,

@@ -7,10 +7,8 @@
 //! so this module provides the closed form (validated against the engine in
 //! the crate's tests).
 
-use serde::{Deserialize, Serialize};
-
 /// One stage of a linear pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineStage {
     /// Stage label.
     pub name: String,
@@ -30,7 +28,7 @@ impl PipelineStage {
 }
 
 /// Result of [`steady_state_analysis`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Index of the slowest stage.
     pub bottleneck_index: usize,

@@ -1,9 +1,7 @@
 //! Simulation results and derived statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Start/finish record of one simulated task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskTiming {
     /// Task name as registered.
     pub name: String,
@@ -35,7 +33,7 @@ impl TaskTiming {
 /// assert_eq!(res.timings().len(), 1);
 /// assert!((res.resource_utilization(0) - 1.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     timings: Vec<TaskTiming>,
     resource_names: Vec<String>,

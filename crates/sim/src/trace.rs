@@ -2,10 +2,9 @@
 //! chart for inspecting simulated schedules.
 
 use crate::stats::SimResult;
-use serde::{Deserialize, Serialize};
 
 /// One busy interval on a resource's timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Interval {
     /// Task that occupied the slot.
     pub task: String,
@@ -16,7 +15,7 @@ pub struct Interval {
 }
 
 /// Per-resource timeline extracted from a [`SimResult`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
     /// Resource name.
     pub resource: String,

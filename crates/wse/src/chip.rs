@@ -1,13 +1,11 @@
 //! WSE-2 hardware description and compiler tuning parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Static hardware description of a wafer-scale engine.
 ///
 /// Defaults ([`WseSpec::cs2`]) follow the CS-2 data sheet: 850,000 PEs,
 /// 48 KB SRAM per PE (~40 GB total), 20 PB/s aggregate memory bandwidth and
 /// a 220 PB/s Swarm fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WseSpec {
     /// PE grid height (rows).
     pub grid_rows: u64,
@@ -92,7 +90,7 @@ impl Default for WseSpec {
 /// memory layout behave — calibrated once so that the emergent results land
 /// in the bands of Table I and Figs. 6/8(a)/9(a) of the paper. Experiments
 /// never read paper numbers directly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WseCompilerParams {
     /// FLOPs-per-token one PE should own before an extra PE stops paying
     /// for its fabric traffic; sets every GEMM kernel's scalability cap

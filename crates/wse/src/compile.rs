@@ -6,10 +6,9 @@ use crate::kernel::{kernels_of, Kernel, KernelKind};
 use crate::placement::Placement;
 use dabench_core::PlatformError;
 use dabench_model::{Precision, TrainingWorkload};
-use serde::{Deserialize, Serialize};
 
 /// A kernel after compilation: PE allocation and memory layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
     /// The logical kernel.
     pub kernel: Kernel,
@@ -49,7 +48,7 @@ impl CompiledKernel {
 }
 
 /// Chip-level memory accounting of a compilation (Fig. 9(a) quantities).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WseMemoryReport {
     /// Total configuration memory, bytes.
     pub config_bytes: u64,
@@ -84,7 +83,7 @@ impl WseMemoryReport {
 }
 
 /// Outcome of compiling a workload for the WSE.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WseCompilation {
     /// Compiled kernels, in pipeline order.
     pub kernels: Vec<CompiledKernel>,

@@ -12,11 +12,10 @@ use dabench_core::compile::training_graph;
 use dabench_graph::NodeRef;
 use dabench_model::ops::{OpClass, Phase};
 use dabench_model::TrainingWorkload;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What part of the model a kernel implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Token + positional embedding.
     Embedding,
@@ -50,7 +49,7 @@ impl fmt::Display for KernelKind {
 }
 
 /// A kernel: a chip-resident group of operators with aggregate costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     /// Kernel identity.
     pub kind: KernelKind,

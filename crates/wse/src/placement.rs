@@ -6,10 +6,8 @@
 //! are physically adjacent (Sec. III-A: "kernels with data dependencies are
 //! placed physically close to each other").
 
-use serde::{Deserialize, Serialize};
-
 /// One placed kernel region: a full-height strip of the grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacedRect {
     /// Kernel name.
     pub name: String,
@@ -44,7 +42,7 @@ impl PlacedRect {
 }
 
 /// A complete placement of kernels on the grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// Placed strips, in dataflow order.
     pub rects: Vec<PlacedRect>,

@@ -12,7 +12,6 @@ use crate::kernel::KernelKind;
 use dabench_core::TaskProfile;
 use dabench_model::{Precision, TrainingWorkload};
 use dabench_sim::{steady_state_analysis, PipelineStage};
-use serde::{Deserialize, Serialize};
 
 /// Relative per-PE throughput of a precision format versus FP16.
 #[must_use]
@@ -26,7 +25,7 @@ pub(crate) fn precision_rate_factor(precision: Precision, params: &WseCompilerPa
 }
 
 /// Result of executing a compiled workload on the WSE.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WseExecution {
     /// Per-kernel stage time for one pipeline item (one sequence), seconds.
     pub stage_times_s: Vec<(String, f64)>,

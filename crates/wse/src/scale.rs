@@ -12,10 +12,9 @@ use crate::compile::compile;
 use crate::runtime::{execute, precision_rate_factor};
 use dabench_core::PlatformError;
 use dabench_model::TrainingWorkload;
-use serde::{Deserialize, Serialize};
 
 /// Plan and outcome of an intra-chip data-parallel execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaPlan {
     /// Number of replicas.
     pub replicas: u32,
@@ -82,7 +81,7 @@ pub fn data_parallel(
 }
 
 /// Outcome of a weight-streaming execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightStreamingRun {
     /// Wall-clock step time, seconds.
     pub step_time_s: f64,

@@ -13,10 +13,9 @@ use crate::kernel::{kernels_of, Kernel};
 use crate::runtime::precision_rate_factor;
 use dabench_model::TrainingWorkload;
 use dabench_sim::{Resource, SimError, Simulation, TaskSpec};
-use serde::{Deserialize, Serialize};
 
 /// Per-kernel record of the streaming schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamedLayer {
     /// Kernel name.
     pub name: String,
@@ -27,7 +26,7 @@ pub struct StreamedLayer {
 }
 
 /// An event-scheduled weight-streaming execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingSchedule {
     /// Per-kernel costs, in execution order.
     pub layers: Vec<StreamedLayer>,

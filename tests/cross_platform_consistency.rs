@@ -94,9 +94,7 @@ fn precision_speedup_is_bounded() {
     }
 }
 
-/// Reports are JSON-serializable end to end (all report types derive
-/// serde traits; round-trip through the debug formatter is covered
-/// elsewhere).
+/// Every memory level a report names exists in its platform's spec.
 #[test]
 fn reports_expose_consistent_memory_levels() {
     let w = probe(32);
