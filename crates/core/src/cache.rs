@@ -28,7 +28,7 @@
 //! The lookup key is `(CacheKey, TrainingWorkload)`: the configuration
 //! token is folded into a 128-bit [`CacheKey`] fingerprint that platforms
 //! precompute at construction (so the hot lookup path performs no string
-//! formatting or allocation — see `docs/benchmarking.md` for the measured
+//! formatting or allocation — CHANGES.md, PR 5, records the measured
 //! effect), while the workload side uses *exact* equality via the
 //! workload's derived `Eq`/`Hash`, so workload collisions are impossible
 //! by construction. Token fingerprints use two independent 64-bit FNV-1a

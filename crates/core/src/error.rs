@@ -43,26 +43,6 @@ pub enum PlatformError {
     },
 }
 
-impl PlatformError {
-    /// Whether a supervisor may retry the operation that produced this
-    /// error.
-    ///
-    /// On real clusters, compile-service hiccups and device flakes are
-    /// transient — a retried point often succeeds — while out-of-memory,
-    /// unsupported-configuration, and degraded-throughput errors are
-    /// deterministic properties of the configuration and will recur on
-    /// every attempt. The supervision layer
-    /// ([`crate::supervise::supervise_point`]) consults this to decide
-    /// between retry-with-backoff and immediate failure.
-    #[must_use]
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            PlatformError::CompileFailure(_) | PlatformError::DeviceFault { .. }
-        )
-    }
-}
-
 impl fmt::Display for PlatformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -145,27 +125,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("pe"));
         assert!(s.contains("dead rectangle 12x40"));
-    }
-
-    #[test]
-    fn transient_faults_are_retryable_deterministic_failures_are_not() {
-        assert!(PlatformError::CompileFailure("mapper flake".into()).is_retryable());
-        assert!(PlatformError::DeviceFault {
-            unit: "pe".into(),
-            detail: "transient".into(),
-        }
-        .is_retryable());
-        assert!(!PlatformError::OutOfMemory {
-            level: "sram".into(),
-            required_bytes: 2,
-            capacity_bytes: 1,
-        }
-        .is_retryable());
-        assert!(!PlatformError::Unsupported("no tp".into()).is_retryable());
-        assert!(!PlatformError::Degraded {
-            retained_fraction: 0.5,
-        }
-        .is_retryable());
     }
 
     #[test]

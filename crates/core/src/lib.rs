@@ -13,9 +13,8 @@
 //!   scaling strategies classified through the DP/TP/PP lens, plus batch
 //!   size and precision sweeps.
 //! - **Supervised sweep execution** ([`supervise`]): per-point panic
-//!   isolation, wall-clock deadlines, deterministic retries, and a
-//!   crash-safe run journal enabling `--resume` (see
-//!   `docs/supervision.md`).
+//!   isolation, wall-clock deadlines, and a crash-safe run journal
+//!   enabling `--resume` (see `docs/supervision.md`).
 //! - **Observability** ([`obs`]): phase-scoped spans and counters with
 //!   logical timestamps, deterministic under [`par_map`], exported as
 //!   Chrome `trace_event` JSON and per-phase counter tables (see

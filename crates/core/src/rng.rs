@@ -4,8 +4,8 @@
 //! solid generator whose entire state is one `u64`, so any derived
 //! experiment artifact is fully reproducible from its seed alone. The
 //! fault planner draws concrete fault coordinates from it, and the
-//! supervision layer ([`crate::supervise`]) forks per-attempt retry seeds
-//! from it so retried experiment points stay deterministic.
+//! supervision layer ([`crate::supervise`]) forks a per-point seed from
+//! it.
 
 /// A SplitMix64 pseudo-random generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

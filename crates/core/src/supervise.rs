@@ -1,9 +1,9 @@
 //! Supervised execution of experiment points: panic isolation, wall-clock
-//! deadlines, deterministic retries, and a crash-safe run journal.
+//! deadlines, and a crash-safe run journal.
 //!
 //! Long multi-point sweeps on real accelerator clusters die in ways the
 //! points themselves cannot anticipate — a compiler panic, a hung run, a
-//! flaky device — and losing an hours-long sweep to one poisoned point is
+//! failing device — and losing an hours-long sweep to one poisoned point is
 //! the dominant operational cost of benchmarking (the failure mode
 //! LLM-Inference-Bench documents across heterogeneous accelerators). This
 //! module wraps every experiment point in a supervisor:
@@ -13,12 +13,11 @@
 //!   unwinding through the whole sweep.
 //! - **Deadlines**: [`SupervisePolicy::deadline`] runs the point under a
 //!   watchdog; an overrun is recorded as [`PointOutcome::TimedOut`] and the
-//!   runaway attempt is abandoned (its thread is detached, never joined).
-//! - **Deterministic retries**: attempts that return a *retryable*
-//!   [`PlatformError`] (see [`PlatformError::is_retryable`]) are retried
-//!   with backoff; every attempt receives a seed forked off
-//!   `(policy.seed, point index)` via [`SplitMix64::fork`], so retry
-//!   randomness depends only on the point's identity, never on timing.
+//!   runaway point is abandoned (its thread is detached, never joined).
+//! - **Errors**: a point that returns a [`PlatformError`] is recorded as
+//!   [`PointOutcome::Failed`]. The platform models are pure functions, so
+//!   running the point again would return the same error; it is not
+//!   retried.
 //! - **Crash-safe journal**: [`RunJournal`] appends one fsync'd JSONL
 //!   record per finished point; a killed run can be resumed with
 //!   [`RunJournal::resume`], replaying completed points verbatim so the
@@ -38,7 +37,7 @@ use std::io::{self, Read as _, Seek as _, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// Render a caught panic payload as text (panics raise `&str` or `String`
@@ -81,14 +80,9 @@ pub fn with_point_label<R>(label: &str, f: impl FnOnce() -> R) -> R {
 /// How the supervisor treats one experiment point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisePolicy {
-    /// Wall-clock budget per attempt; `None` disables the watchdog.
+    /// Wall-clock budget per point; `None` disables the watchdog.
     pub deadline: Option<Duration>,
-    /// Additional attempts allowed after a retryable failure.
-    pub max_retries: u32,
-    /// Backoff before retry `k` is `backoff * k` (linear, deterministic in
-    /// count though not in wall-clock).
-    pub backoff: Duration,
-    /// Root seed; attempt seeds are forked from `(seed, point index)`.
+    /// Root seed; point seeds are forked from `(seed, point index)`.
     pub seed: u64,
 }
 
@@ -96,8 +90,6 @@ impl Default for SupervisePolicy {
     fn default() -> Self {
         Self {
             deadline: None,
-            max_retries: 0,
-            backoff: Duration::from_millis(10),
             seed: 42,
         }
     }
@@ -106,12 +98,10 @@ impl Default for SupervisePolicy {
 /// Structured result of one supervised experiment point.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PointOutcome<U> {
-    /// The point produced a value (possibly after retries).
+    /// The point produced a value.
     Completed {
         /// The point's result.
         value: U,
-        /// Retries consumed before success (0 = first attempt).
-        retries: u32,
     },
     /// The point's value was replayed from a run journal; it was not
     /// re-executed.
@@ -119,19 +109,17 @@ pub enum PointOutcome<U> {
         /// The journaled result.
         value: U,
     },
-    /// Every allowed attempt returned an error.
+    /// The point returned an error.
     Failed {
-        /// The final attempt's error.
+        /// The point's error.
         error: PlatformError,
-        /// Retries consumed (0 = the error was not retryable).
-        retries: u32,
     },
-    /// An attempt panicked; the message carries the point's label.
+    /// The point panicked; the message carries the point's label.
     Panicked {
         /// Labelled panic message.
         message: String,
     },
-    /// An attempt exceeded the wall-clock deadline and was abandoned.
+    /// The point exceeded the wall-clock deadline and was abandoned.
     TimedOut {
         /// The deadline that was exceeded.
         deadline: Duration,
@@ -143,17 +131,9 @@ impl<U> PointOutcome<U> {
     #[must_use]
     pub fn value(&self) -> Option<&U> {
         match self {
-            PointOutcome::Completed { value, .. } | PointOutcome::Journaled { value } => {
-                Some(value)
-            }
+            PointOutcome::Completed { value } | PointOutcome::Journaled { value } => Some(value),
             _ => None,
         }
-    }
-
-    /// Whether the sweep got a value for this point.
-    #[must_use]
-    pub fn is_success(&self) -> bool {
-        self.value().is_some()
     }
 
     /// Stable status keyword (also the journal's `status` field).
@@ -186,56 +166,13 @@ pub fn abandoned_threads() -> u64 {
     ABANDONED_THREADS.load(Ordering::Relaxed)
 }
 
-enum AttemptAbort {
-    Panicked(String),
-    TimedOut,
-}
-
-fn run_attempt<U, F>(
-    deadline: Option<Duration>,
-    f: &Arc<F>,
-    attempt_seed: u64,
-) -> Result<Result<U, PlatformError>, AttemptAbort>
-where
-    U: Send + 'static,
-    F: Fn(u64) -> Result<U, PlatformError> + Send + Sync + 'static,
-{
-    let Some(deadline) = deadline else {
-        return catch_unwind(AssertUnwindSafe(|| f(attempt_seed)))
-            .map_err(|p| AttemptAbort::Panicked(panic_message(p.as_ref())));
-    };
-    let (tx, rx) = mpsc::channel();
-    let point = Arc::clone(f);
-    // The point runs here on behalf of the calling thread, so it keeps
-    // that thread's one-level parallelism rule.
-    let worker = crate::parallel::is_worker();
-    std::thread::Builder::new()
-        .name("dabench-supervised-point".to_owned())
-        .spawn(move || {
-            crate::parallel::set_worker(worker);
-            let result = catch_unwind(AssertUnwindSafe(|| point(attempt_seed)));
-            let _ = tx.send(result);
-        })
-        .expect("spawn supervised point thread");
-    match rx.recv_timeout(deadline) {
-        Ok(Ok(result)) => Ok(result),
-        Ok(Err(p)) => Err(AttemptAbort::Panicked(panic_message(p.as_ref()))),
-        // Timeout: the point thread keeps running detached; we abandon it.
-        Err(mpsc::RecvTimeoutError::Timeout) => Err(AttemptAbort::TimedOut),
-        Err(mpsc::RecvTimeoutError::Disconnected) => Err(AttemptAbort::Panicked(
-            "point thread exited without reporting a result".to_owned(),
-        )),
-    }
-}
-
 /// Run one experiment point under full supervision.
 ///
-/// `f` receives a deterministic attempt seed forked from
-/// `(policy.seed, index)` — attempt `k` of point `i` sees the same seed in
-/// every run, so retried sweeps reproduce byte-identically. A panicking
-/// attempt is not retried (panics indicate bugs, not flakes); retryable
-/// [`PlatformError`]s are retried up to `policy.max_retries` times with
-/// linear backoff.
+/// `f` receives a deterministic seed, the first draw of
+/// `SplitMix64::fork(policy.seed, index)`, so point `i` sees the same seed
+/// in every run. A panic becomes [`PointOutcome::Panicked`] labelled with
+/// the point; a [`PlatformError`] becomes [`PointOutcome::Failed`]; an
+/// overrun of `policy.deadline` becomes [`PointOutcome::TimedOut`].
 pub fn supervise_point<U, F>(
     label: &str,
     index: u64,
@@ -244,32 +181,43 @@ pub fn supervise_point<U, F>(
 ) -> PointOutcome<U>
 where
     U: Send + 'static,
-    F: Fn(u64) -> Result<U, PlatformError> + Send + Sync + 'static,
+    F: FnOnce(u64) -> Result<U, PlatformError> + Send + 'static,
 {
-    let f = Arc::new(f);
-    let mut rng = SplitMix64::fork(policy.seed, index);
-    let mut retries = 0u32;
-    loop {
-        let attempt_seed = rng.next_u64();
-        match run_attempt(policy.deadline, &f, attempt_seed) {
-            Ok(Ok(value)) => return PointOutcome::Completed { value, retries },
-            Ok(Err(error)) if error.is_retryable() && retries < policy.max_retries => {
-                retries += 1;
-                std::thread::sleep(policy.backoff * retries);
-            }
-            Ok(Err(error)) => return PointOutcome::Failed { error, retries },
-            Err(AttemptAbort::Panicked(message)) => {
-                return PointOutcome::Panicked {
-                    message: format!("point `{label}`: {message}"),
-                }
-            }
-            Err(AttemptAbort::TimedOut) => {
-                ABANDONED_THREADS.fetch_add(1, Ordering::Relaxed);
-                crate::obs::counter("supervise.abandoned_threads", 1.0);
-                return PointOutcome::TimedOut {
-                    deadline: policy.deadline.unwrap_or_default(),
-                };
-            }
+    let seed = SplitMix64::fork(policy.seed, index).next_u64();
+    let panicked = |message: String| PointOutcome::Panicked {
+        message: format!("point `{label}`: {message}"),
+    };
+    let Some(deadline) = policy.deadline else {
+        return match catch_unwind(AssertUnwindSafe(|| f(seed))) {
+            Ok(Ok(value)) => PointOutcome::Completed { value },
+            Ok(Err(error)) => PointOutcome::Failed { error },
+            Err(p) => panicked(panic_message(p.as_ref())),
+        };
+    };
+    let (tx, rx) = mpsc::channel();
+    // The point runs here on behalf of the calling thread, so it keeps
+    // that thread's one-level parallelism rule.
+    let worker = crate::parallel::is_worker();
+    std::thread::Builder::new()
+        .name("dabench-supervised-point".to_owned())
+        .spawn(move || {
+            crate::parallel::set_worker(worker);
+            let result = catch_unwind(AssertUnwindSafe(|| f(seed)));
+            let _ = tx.send(result);
+        })
+        .expect("spawn supervised point thread");
+    match rx.recv_timeout(deadline) {
+        Ok(Ok(Ok(value))) => PointOutcome::Completed { value },
+        Ok(Ok(Err(error))) => PointOutcome::Failed { error },
+        Ok(Err(p)) => panicked(panic_message(p.as_ref())),
+        // Timeout: the point thread keeps running detached; we abandon it.
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            ABANDONED_THREADS.fetch_add(1, Ordering::Relaxed);
+            crate::obs::counter("supervise.abandoned_threads", 1.0);
+            PointOutcome::TimedOut { deadline }
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            panicked("point thread exited without reporting a result".to_owned())
         }
     }
 }
@@ -284,13 +232,13 @@ const INJECT_ENV: &str = "DABENCH_INJECT";
 /// Which [`PlatformError`] an `err:KIND` injection raises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedErrorKind {
-    /// A transient device flake — retryable.
+    /// A device fault.
     DeviceFault,
-    /// A compiler-service hiccup — retryable.
+    /// A compiler failure.
     CompileFailure,
-    /// A deterministic capacity overflow — not retryable.
+    /// A capacity overflow.
     OutOfMemory,
-    /// A deterministic configuration rejection — not retryable.
+    /// A configuration rejection.
     Unsupported,
 }
 
@@ -311,7 +259,7 @@ impl InjectedErrorKind {
         match self {
             InjectedErrorKind::DeviceFault => PlatformError::DeviceFault {
                 unit: "injected".into(),
-                detail: "transient fault (DABENCH_INJECT)".into(),
+                detail: "injected device fault (DABENCH_INJECT)".into(),
             },
             InjectedErrorKind::CompileFailure => {
                 PlatformError::CompileFailure("injected compile failure (DABENCH_INJECT)".into())
@@ -330,32 +278,21 @@ impl InjectedErrorKind {
 
 /// Test-only failure injection, from the `DABENCH_INJECT` env var: a
 /// comma-separated list of `<point>=panic`, `<point>=sleep:SECS`,
-/// `<point>=err:KIND[:N]`, or `<point>=violate:INVARIANT` clauses. Lets
+/// `<point>=err:KIND`, or `<point>=violate:INVARIANT` clauses. Lets
 /// integration tests and the CI crash-recovery jobs exercise panic
-/// isolation, deadlines, retryable error paths, and mid-run kills without
+/// isolation, deadlines, error reports, and mid-run kills without
 /// planting bugs in the experiments themselves.
 ///
-/// `err:KIND` raises the corresponding [`PlatformError`] on **every**
-/// attempt; `err:KIND:N` raises it on the first `N` attempts only, so
-/// retry-to-success is testable end-to-end (`err:device_fault:2` with
-/// `--max-retries 2` succeeds on the third attempt). Kinds:
-/// `device_fault`, `compile_failure` (retryable), `oom`, `unsupported`
-/// (not retryable).
+/// `err:KIND` makes the point return the corresponding [`PlatformError`].
+/// Kinds: `device_fault`, `compile_failure`, `oom`, `unsupported`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Injection {
-    /// Panic on every attempt.
+    /// Panic.
     Panic,
-    /// Sleep for the given seconds on every attempt (deadline / kill
-    /// window testing).
+    /// Sleep for the given seconds (deadline / kill window testing).
     SleepSecs(f64),
-    /// Raise a [`PlatformError`] on the first `failures` attempts
-    /// (`u32::MAX` = every attempt).
-    Err {
-        /// Which error to raise.
-        kind: InjectedErrorKind,
-        /// How many leading attempts fail before the injection clears.
-        failures: u32,
-    },
+    /// Return a [`PlatformError`] of this kind.
+    Err(InjectedErrorKind),
     /// Perturb one observation fed to the `dabench gen` metamorphic
     /// invariant checker so the named invariant is violated
     /// (`gen=violate:<invariant>`) — the seeded counterexample proving
@@ -366,53 +303,25 @@ pub enum Injection {
 }
 
 impl Injection {
-    /// Act on this injection for 0-based attempt number `attempt`:
-    /// panic, sleep, or return the injected error.
+    /// Act on this injection: panic, sleep, or return the injected error.
     ///
     /// # Errors
     ///
-    /// The injected [`PlatformError`] while `attempt < failures`.
+    /// The injected [`PlatformError`] for [`Injection::Err`].
     ///
     /// # Panics
     ///
     /// [`Injection::Panic`] panics with a message naming the hook.
-    fn fire(&self, attempt: u32) -> Result<(), PlatformError> {
+    pub fn fire(&self) -> Result<(), PlatformError> {
         match *self {
             Injection::Panic => panic!("injected failure (DABENCH_INJECT)"),
             Injection::SleepSecs(s) => {
                 std::thread::sleep(Duration::from_secs_f64(s));
                 Ok(())
             }
-            Injection::Err { kind, failures } => {
-                if attempt < failures {
-                    Err(kind.to_error())
-                } else {
-                    Ok(())
-                }
-            }
+            Injection::Err(kind) => Err(kind.to_error()),
             Injection::Violate(_) => Ok(()),
         }
-    }
-
-    /// Act on this injection for the attempt number taken from (and
-    /// advanced in) `attempts` — the natural shape inside a retried
-    /// [`supervise_point`] closure: panic, sleep, or return the injected
-    /// error.
-    ///
-    /// # Errors
-    ///
-    /// The injected [`PlatformError`] while the attempt number is below
-    /// the injection's failure count.
-    ///
-    /// # Panics
-    ///
-    /// [`Injection::Panic`] panics with a message naming the hook.
-    pub fn fire_counted(
-        &self,
-        attempts: &std::sync::atomic::AtomicU32,
-    ) -> Result<(), PlatformError> {
-        let attempt = attempts.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        self.fire(attempt)
     }
 }
 
@@ -435,30 +344,20 @@ fn parse_injection_clauses(raw: &str) -> Result<BTreeMap<String, Injection>, Str
                     secs.parse()
                         .map_err(|e| format!("DABENCH_INJECT `{clause}`: {e}"))?,
                 )
-            } else if let Some(spec) = action.strip_prefix("err:") {
-                let (kind, failures) = match spec.split_once(':') {
-                    Some((kind, count)) => (
-                        kind,
-                        count
-                            .parse::<u32>()
-                            .map_err(|e| format!("DABENCH_INJECT `{clause}`: {e}"))?,
-                    ),
-                    None => (spec, u32::MAX),
-                };
-                let kind = InjectedErrorKind::parse(kind).ok_or_else(|| {
+            } else if let Some(kind) = action.strip_prefix("err:") {
+                Injection::Err(InjectedErrorKind::parse(kind).ok_or_else(|| {
                     format!(
                         "DABENCH_INJECT `{clause}`: unknown error kind `{kind}` \
                      (expected device_fault, compile_failure, oom, or unsupported)"
                     )
-                })?;
-                Injection::Err { kind, failures }
+                })?)
             } else if let Some(name) = action.strip_prefix("violate:") {
                 Injection::Violate(crate::gen::Invariant::parse(name).ok_or_else(|| {
                     format!("DABENCH_INJECT `{clause}`: unknown invariant `{name}`")
                 })?)
             } else {
                 return Err(format!(
-                    "DABENCH_INJECT `{clause}`: expected panic, sleep:SECS, err:KIND[:N], \
+                    "DABENCH_INJECT `{clause}`: expected panic, sleep:SECS, err:KIND, \
                  or violate:INVARIANT"
                 ));
             };
@@ -812,27 +711,14 @@ impl RunJournal {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     entries: Vec<(String, &'static str, Option<String>)>,
-    retried: usize,
 }
 
 impl RunReport {
     /// Fold one point's outcome into the report.
     pub fn record<U>(&mut self, label: &str, outcome: &PointOutcome<U>) {
         let detail = match outcome {
-            PointOutcome::Completed { retries, .. } => {
-                if *retries > 0 {
-                    self.retried += 1;
-                    Some(format!("after {retries} retr{}", plural_y(*retries)))
-                } else {
-                    None
-                }
-            }
-            PointOutcome::Journaled { .. } => None,
-            PointOutcome::Failed { error, retries } => Some(if *retries > 0 {
-                format!("{error} (after {retries} retr{})", plural_y(*retries))
-            } else {
-                error.to_string()
-            }),
+            PointOutcome::Completed { .. } | PointOutcome::Journaled { .. } => None,
+            PointOutcome::Failed { error } => Some(error.to_string()),
             PointOutcome::Panicked { message } => Some(message.clone()),
             PointOutcome::TimedOut { deadline } => {
                 Some(format!("exceeded {:.1} s deadline", deadline.as_secs_f64()))
@@ -870,32 +756,23 @@ impl RunReport {
         } else {
             String::new()
         };
+        // "(0 retried)" is fixed text: points are never retried, and
+        // benchmark harnesses parse this line as printed.
         let mut out = format!(
-            "run report: {} points — {} completed ({} retried), {} from journal, {} failed, {} panicked, {} timed out{abandoned}\n",
+            "run report: {} points — {} completed (0 retried), {} from journal, {} failed, {} panicked, {} timed out{abandoned}\n",
             self.entries.len(),
             self.count("completed"),
-            self.retried,
             self.count("journaled"),
             self.count("failed"),
             self.count("panicked"),
             timed_out,
         );
         for (label, status, detail) in &self.entries {
-            if *status == "completed" && detail.is_none() || *status == "journaled" {
-                continue;
+            if let Some(detail) = detail {
+                out.push_str(&format!("  [{status:>9}] {label}: {detail}\n"));
             }
-            let detail = detail.as_deref().unwrap_or("");
-            out.push_str(&format!("  [{status:>9}] {label}: {detail}\n"));
         }
         out
-    }
-}
-
-fn plural_y(n: u32) -> &'static str {
-    if n == 1 {
-        "y"
-    } else {
-        "ies"
     }
 }
 
@@ -903,7 +780,7 @@ fn plural_y(n: u32) -> &'static str {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Mutex;
+    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -932,74 +809,39 @@ mod tests {
     }
 
     #[test]
-    fn retryable_error_is_retried_to_success() {
+    fn error_fails_after_one_attempt() {
         let attempts = Arc::new(AtomicU32::new(0));
         let seen = Arc::clone(&attempts);
-        let policy = SupervisePolicy {
-            max_retries: 3,
-            backoff: Duration::from_millis(1),
-            ..SupervisePolicy::default()
-        };
-        let outcome = supervise_point("flaky", 0, &policy, move |_| {
-            if seen.fetch_add(1, Ordering::SeqCst) < 2 {
+        let outcome: PointOutcome<u32> =
+            supervise_point("flaky", 0, &SupervisePolicy::default(), move |_| {
+                seen.fetch_add(1, Ordering::SeqCst);
                 Err(PlatformError::DeviceFault {
                     unit: "pe".into(),
-                    detail: "transient".into(),
+                    detail: "fault".into(),
                 })
-            } else {
-                Ok(7u32)
-            }
-        });
-        assert_eq!(
-            outcome,
-            PointOutcome::Completed {
-                value: 7,
-                retries: 2
-            }
+            });
+        assert!(
+            matches!(outcome, PointOutcome::Failed { .. }),
+            "{outcome:?}"
         );
-        assert_eq!(attempts.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn non_retryable_error_fails_immediately() {
-        let attempts = Arc::new(AtomicU32::new(0));
-        let seen = Arc::clone(&attempts);
-        let policy = SupervisePolicy {
-            max_retries: 5,
-            ..SupervisePolicy::default()
-        };
-        let outcome: PointOutcome<u32> = supervise_point("oom", 0, &policy, move |_| {
-            seen.fetch_add(1, Ordering::SeqCst);
-            Err(PlatformError::Unsupported("no such strategy".into()))
-        });
-        assert!(matches!(outcome, PointOutcome::Failed { retries: 0, .. }));
         assert_eq!(attempts.load(Ordering::SeqCst), 1);
     }
 
     #[test]
-    fn attempt_seeds_are_deterministic_per_point_and_attempt() {
-        let record = |idx: u64| {
-            let seeds = Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&seeds);
-            let policy = SupervisePolicy {
-                max_retries: 2,
-                backoff: Duration::from_millis(1),
-                ..SupervisePolicy::default()
+    fn point_seed_is_the_first_draw_of_the_point_fork() {
+        let seed_of =
+            |idx: u64| match supervise_point("seeded", idx, &SupervisePolicy::default(), Ok) {
+                PointOutcome::Completed { value } => value,
+                other => panic!("expected Completed, got {other:?}"),
             };
-            let _ = supervise_point("seeded", idx, &policy, move |seed| {
-                sink.lock().unwrap().push(seed);
-                Err::<u32, _>(PlatformError::DeviceFault {
-                    unit: "pe".into(),
-                    detail: "flake".into(),
-                })
-            });
-            let seeds = seeds.lock().unwrap().clone();
-            seeds
-        };
-        let a = record(5);
-        assert_eq!(a.len(), 3, "1 attempt + 2 retries");
-        assert_eq!(a, record(5), "same point, same seeds");
-        assert_ne!(a, record(6), "different points draw different streams");
+        let policy = SupervisePolicy::default();
+        assert_eq!(seed_of(5), SplitMix64::fork(policy.seed, 5).next_u64());
+        assert_eq!(seed_of(5), seed_of(5), "same point, same seed");
+        assert_ne!(
+            seed_of(5),
+            seed_of(6),
+            "different points draw different seeds"
+        );
     }
 
     #[test]
@@ -1018,13 +860,7 @@ mod tests {
 
         // A fast point under the same deadline completes normally.
         let ok = supervise_point("fast", 0, &policy, |_| Ok(2u32));
-        assert_eq!(
-            ok,
-            PointOutcome::Completed {
-                value: 2,
-                retries: 0
-            }
-        );
+        assert_eq!(ok, PointOutcome::Completed { value: 2 });
     }
 
     #[test]
@@ -1265,34 +1101,27 @@ mod tests {
     }
 
     #[test]
-    fn err_injection_parses_and_fires_retryable_errors() {
+    fn err_injection_parses_and_fires_every_time() {
         let map = parse_injection_clauses(
-            "fig9=err:device_fault, table1=err:compile_failure:2, fig6=err:oom",
+            "fig9=err:device_fault, table1=err:compile_failure, fig6=err:oom",
         )
         .unwrap();
         assert_eq!(
             map.get("fig9"),
-            Some(&Injection::Err {
-                kind: InjectedErrorKind::DeviceFault,
-                failures: u32::MAX
-            })
+            Some(&Injection::Err(InjectedErrorKind::DeviceFault))
         );
         assert_eq!(
             map.get("table1"),
-            Some(&Injection::Err {
-                kind: InjectedErrorKind::CompileFailure,
-                failures: 2
-            })
+            Some(&Injection::Err(InjectedErrorKind::CompileFailure))
         );
-        // Counted firing: fails the first 2 attempts, then clears.
         let inj = map["table1"];
-        let err = inj.fire(0).unwrap_err();
-        assert!(err.is_retryable(), "{err}");
+        let err = inj.fire().unwrap_err();
         assert!(err.to_string().contains("DABENCH_INJECT"), "{err}");
-        assert!(inj.fire(1).is_err());
-        assert!(inj.fire(2).is_ok());
-        // Non-retryable kinds stay non-retryable.
-        assert!(!map["fig6"].fire(0).unwrap_err().is_retryable());
+        assert!(inj.fire().is_err(), "fails again on a second call");
+        assert!(matches!(
+            map["fig6"].fire(),
+            Err(PlatformError::OutOfMemory { .. })
+        ));
     }
 
     #[test]
@@ -1300,54 +1129,17 @@ mod tests {
         let err = parse_injection_clauses("fig9=err:gremlins").unwrap_err();
         assert!(err.contains("unknown error kind"), "{err}");
         assert!(parse_injection_clauses("fig9=err:oom:x").is_err());
+        // The counted form `err:KIND:N` is gone: a count is an unknown kind.
+        assert!(parse_injection_clauses("fig9=err:device_fault:2").is_err());
         assert!(parse_injection_clauses("fig9=explode").is_err());
         assert!(parse_injection_clauses("fig11=abort").is_err());
     }
 
     #[test]
-    fn err_injection_drives_supervised_retry_to_success() {
-        let policy = SupervisePolicy {
-            max_retries: 2,
-            backoff: Duration::from_millis(1),
-            ..SupervisePolicy::default()
-        };
-        let inj = Injection::Err {
-            kind: InjectedErrorKind::DeviceFault,
-            failures: 2,
-        };
-        let attempts = Arc::new(AtomicU32::new(0));
-        let counter = Arc::clone(&attempts);
-        let outcome = supervise_point("flaky", 0, &policy, move |_| {
-            inj.fire_counted(&counter)?;
-            Ok(11u32)
-        });
-        assert_eq!(
-            outcome,
-            PointOutcome::Completed {
-                value: 11,
-                retries: 2
-            }
-        );
-        assert_eq!(attempts.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
     fn run_report_counts_and_renders_deterministically() {
         let mut report = RunReport::default();
-        report.record(
-            "table1",
-            &PointOutcome::Completed {
-                value: 1u32,
-                retries: 0,
-            },
-        );
-        report.record(
-            "table2",
-            &PointOutcome::Completed {
-                value: 2u32,
-                retries: 1,
-            },
-        );
+        report.record("table1", &PointOutcome::Completed { value: 1u32 });
+        report.record("table2", &PointOutcome::Completed { value: 2u32 });
         report.record("fig6", &PointOutcome::Journaled { value: 3u32 });
         report.record(
             "fig9",
@@ -1367,7 +1159,7 @@ mod tests {
         let rendered = report.render();
         assert_eq!(rendered, report.render(), "rendering is deterministic");
         assert!(rendered.contains("5 points"), "{rendered}");
-        assert!(rendered.contains("2 completed (1 retried)"), "{rendered}");
+        assert!(rendered.contains("2 completed (0 retried)"), "{rendered}");
         assert!(rendered.contains("1 panicked"), "{rendered}");
         assert!(rendered.contains("exceeded 2.0 s deadline"), "{rendered}");
         assert!(rendered.contains("fig9: point `fig9`: boom"), "{rendered}");

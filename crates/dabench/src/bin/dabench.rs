@@ -13,7 +13,7 @@
 //!       --precision fp16|bf16|cb16|fp32  --model gpt2-small|gpt2-xl|llama2-7b
 //!       --jobs N   (worker threads; DABENCH_JOBS env var also honored)
 //!       --trace-out FILE  (Chrome trace_event JSON)  --metrics (stderr table)
-//! all opts: --run-dir D  --resume D  --deadline-s S  --max-retries N
+//! all opts: --run-dir D  --resume D  --deadline-s S
 //! ```
 //!
 //! All commands produce byte-identical output regardless of `--jobs`:
@@ -21,8 +21,8 @@
 //!
 //! `all` runs under the supervision layer (`dabench_core::supervise`, see
 //! docs/supervision.md): each paper artifact is one supervised point with
-//! panic isolation, an optional wall-clock deadline, deterministic
-//! retries, and — with `--run-dir` — a crash-safe journal that `--resume`
+//! panic isolation, an optional wall-clock deadline, and — with
+//! `--run-dir` — a crash-safe journal that `--resume`
 //! replays to produce byte-identical output after a mid-run kill. Exit
 //! code 2 flags a run that completed with failed/panicked/timed-out
 //! points.
@@ -252,7 +252,6 @@ struct AllOpts {
     run_dir: Option<std::path::PathBuf>,
     resume: bool,
     deadline: Option<std::time::Duration>,
-    max_retries: u32,
 }
 
 fn parse_all_opts(args: &[String]) -> Result<AllOpts, String> {
@@ -260,7 +259,6 @@ fn parse_all_opts(args: &[String]) -> Result<AllOpts, String> {
         run_dir: None,
         resume: false,
         deadline: None,
-        max_retries: 0,
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -283,11 +281,6 @@ fn parse_all_opts(args: &[String]) -> Result<AllOpts, String> {
                     return Err(format!("--deadline-s: {s} is not a positive number"));
                 }
                 opts.deadline = Some(std::time::Duration::from_secs_f64(s));
-            }
-            "--max-retries" => {
-                opts.max_retries = value()?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?;
             }
             other => return Err(format!("unknown flag `{other}` for all")),
         }
@@ -322,7 +315,6 @@ fn run_sweep(order: &[String], opts: &AllOpts) -> Result<(RunReport, Vec<Option<
     let injections = parse_injections()?;
     let policy = SupervisePolicy {
         deadline: opts.deadline,
-        max_retries: opts.max_retries,
         ..SupervisePolicy::default()
     };
     let (journal, replay) = match &opts.run_dir {
@@ -487,38 +479,40 @@ fn run_gen(rest: &[String]) -> Result<ExitCode, String> {
 }
 
 fn usage() -> &'static str {
-    "usage: dabench <command> [options]\n\
-     commands:\n\
-       table1 table2 table3 table4       reproduce a paper table\n\
-       fig6 fig7 fig8 fig9 fig10 fig11 fig12   reproduce a paper figure\n\
-       all                               every table and figure, supervised\n\
-       ablations                         design-choice ablations\n\
-       sensitivity                       hardware-parameter elasticities\n\
-       infer [opts]                      inference serving: TTFT + tokens/s, 4 platforms\n\
-       gen [opts]                        seeded scenario generator + ranking + invariants\n\
-       csv <experiment>                  emit an experiment as CSV\n\
-       check                             reproduction scorecard (all claims)\n\
-       tier1 <wse|rdu-o0|rdu-o1|rdu-o3|ipu|gpu>  profile one workload\n\
-       summary                           all platforms, one workload\n\
-       faults <wse|rdu-o0|rdu-o1|rdu-o3|ipu>     resilience sweep\n\
-     options: --hidden N --layers N --batch N --seq N\n\
-              --precision fp16|bf16|cb16|fp32 --model <preset>\n\
-              --jobs N   worker threads (default: all cores; also DABENCH_JOBS)\n\
-              --trace-out FILE  write a Chrome trace_event JSON trace\n\
-              --metrics         per-phase span/counter table on stderr\n\
-     all options: --run-dir D   journal each finished point to D (crash-safe)\n\
-     \x20            --resume D    replay D's journal, re-run only missing points\n\
-     \x20            --deadline-s S  wall-clock budget per point (watchdog)\n\
-     \x20            --max-retries N retry transient platform errors N times\n\
-     \x20            exit codes: 0 clean, 2 some points failed (see stderr report)\n\
-     infer options: --model <preset> --batch N --prompt N --decode N\n\
-     \x20             --precision fp16|bf16|cb16|fp32 --kv-precision ...|fp8 --continuous\n\
-     \x20             (no flags: the default batch x prompt x KV-precision sweep)\n\
-     gen options: --tier baby|easy|medium|hard|cosmic --seed N --count N\n\
-     \x20          --list-tiers   plus every `all` option (journal, resume)\n\
-     \x20          exit codes: 0 clean, 2 point failures, 4 invariant violated\n\
-     faults options: --seed N --plan dead=F,link=F,stalls=N,drop=N\n\
-     csv targets: table1-4 fig6-12 ablations sensitivity infer gen"
+    // Lines after the first are literal: no `\` continuations, which
+    // would also strip each next line's indent.
+    "\
+usage: dabench <command> [options]
+commands:
+  table1 table2 table3 table4       reproduce a paper table
+  fig6 fig7 fig8 fig9 fig10 fig11 fig12   reproduce a paper figure
+  all                               every table and figure, supervised
+  ablations                         design-choice ablations
+  sensitivity                       hardware-parameter elasticities
+  infer [opts]                      inference serving: TTFT + tokens/s, 4 platforms
+  gen [opts]                        seeded scenario generator + ranking + invariants
+  csv <experiment>                  emit an experiment as CSV
+  check                             reproduction scorecard (all claims)
+  tier1 <wse|rdu-o0|rdu-o1|rdu-o3|ipu|gpu>  profile one workload
+  summary                           all platforms, one workload
+  faults <wse|rdu-o0|rdu-o1|rdu-o3|ipu>     resilience sweep
+options: --hidden N --layers N --batch N --seq N
+         --precision fp16|bf16|cb16|fp32 --model <preset>
+         --jobs N   worker threads (default: all cores; also DABENCH_JOBS)
+         --trace-out FILE  write a Chrome trace_event JSON trace
+         --metrics         per-phase span/counter table on stderr
+all options: --run-dir D   journal each finished point to D (crash-safe)
+             --resume D    replay D's journal, re-run only missing points
+             --deadline-s S  wall-clock budget per point (watchdog)
+             exit codes: 0 clean, 2 some points failed (see stderr report)
+infer options: --model <preset> --batch N --prompt N --decode N
+               --precision fp16|bf16|cb16|fp32 --kv-precision ...|fp8 --continuous
+               (no flags: the default batch x prompt x KV-precision sweep)
+gen options: --tier baby|easy|medium|hard|cosmic --seed N --count N
+             --list-tiers   plus every `all` option (journal, resume)
+             exit codes: 0 clean, 2 point failures, 4 invariant violated
+faults options: --seed N --plan dead=F,link=F,stalls=N,drop=N
+csv targets: table1-4 fig6-12 ablations sensitivity infer gen"
 }
 
 /// Observability flags, accepted by every command: `--trace-out FILE`

@@ -1,7 +1,7 @@
 //! The supervised sweep loop behind `dabench all` and `dabench gen`.
 //!
 //! It runs `(global index, label)` points through one path:
-//! journaled-replay short-circuit, failure injection, panic/deadline/retry
+//! journaled-replay short-circuit, failure injection, panic/deadline
 //! supervision, durable journaling of every outcome, and metrics-digest
 //! journaling so `--resume` replays byte-identical traces.
 
@@ -12,12 +12,11 @@ use crate::core::{
 };
 use crate::suite::render_experiment;
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU32;
 use std::sync::Mutex;
 
 /// Policy and hooks for one supervised sweep.
 pub struct RunnerConfig {
-    /// Deadline / retry policy applied to every point.
+    /// Deadline policy applied to every point.
     pub policy: SupervisePolicy,
     /// Failure injections by point label (`DABENCH_INJECT`).
     pub injections: BTreeMap<String, Injection>,
@@ -53,23 +52,18 @@ pub fn run_supervised_points(
             };
         }
         let injection = cfg.injections.get(name).copied();
-        let attempts = AtomicU32::new(0);
         let point = name.clone();
         let outcome = supervise_point(name, i, &cfg.policy, move |_seed| {
-            // Retry hygiene: a previous failed attempt of this point may
-            // have flushed partial traces; they must not leak into the
-            // output of the attempt that eventually succeeds.
-            let _ = obs::drain_prefix(&[i]);
             if let Some(injection) = injection {
-                injection.fire_counted(&attempts)?;
+                injection.fire()?;
             }
             obs::with_point(i, &point, || render_experiment(&point))
                 .ok_or_else(|| PlatformError::Unsupported(format!("no renderer for `{point}`")))
         });
         if let Some(journal) = journal {
             let data = match &outcome {
-                PointOutcome::Completed { value, .. } => Some(value.clone()),
-                PointOutcome::Failed { error, .. } => Some(error.to_string()),
+                PointOutcome::Completed { value } => Some(value.clone()),
+                PointOutcome::Failed { error } => Some(error.to_string()),
                 PointOutcome::Panicked { message } => Some(message.clone()),
                 PointOutcome::TimedOut { deadline } => {
                     Some(format!("exceeded {:.1} s deadline", deadline.as_secs_f64()))

@@ -16,7 +16,7 @@ pub const EXPERIMENTS: [&str; 11] = [
 
 /// Global point index of a supervised label: paper artifacts use their
 /// [`EXPERIMENTS`] position, generated scenarios their population index.
-/// Retry seeds and observability point paths key on this, so a resumed
+/// Point seeds and observability point paths key on this, so a resumed
 /// run must resolve the same index the original run did.
 #[must_use]
 pub fn point_index(label: &str) -> Option<usize> {

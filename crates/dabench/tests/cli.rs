@@ -88,6 +88,8 @@ fn help_succeeds() {
     assert!(ok);
     assert!(stdout.contains("commands"));
     assert!(stdout.contains("--jobs"));
+    // Command lines keep their indent.
+    assert!(stdout.contains("\n  table1 table2"), "{stdout}");
 }
 
 #[test]

@@ -223,8 +223,12 @@ fn supervised_all_matches_per_command_output() {
     assert_eq!(all.code, Some(0), "{}", all.stderr);
     let table1 = run(&["table1"], None);
     assert!(all.stdout.starts_with(&table1.stdout), "table1 must lead");
+    // The exact line `perfbench/harness.py` parses; "(0 retried)" stays
+    // although points are never retried.
     assert!(
-        all.stderr.contains("11 points — 11 completed"),
+        all.stderr.lines().any(|l| l
+            == "run report: 11 points — 11 completed (0 retried), 0 from journal, \
+                0 failed, 0 panicked, 0 timed out"),
         "{}",
         all.stderr
     );
@@ -351,7 +355,7 @@ fn bad_supervision_flags_are_reported() {
     for (args, needle) in [
         (vec!["all", "--deadline-s", "abc"], "--deadline-s"),
         (vec!["all", "--deadline-s", "-1"], "--deadline-s"),
-        (vec!["all", "--max-retries", "x"], "--max-retries"),
+        (vec!["all", "--max-retries", "2"], "unknown flag"),
         (vec!["all", "--frobnicate"], "unknown flag"),
         (vec!["all", "--shards", "2"], "unknown flag"),
         (vec!["all", "--run-dir"], "needs a value"),
@@ -372,7 +376,7 @@ fn bad_supervision_flags_are_reported() {
 }
 
 #[test]
-fn injected_error_exhausts_retries_and_is_reported() {
+fn injected_error_fails_the_point_and_is_reported() {
     let r = run(&["all"], Some("table1=err:device_fault"));
     assert_eq!(r.code, Some(2), "{}", r.stderr);
     assert!(
@@ -390,35 +394,14 @@ fn injected_error_exhausts_retries_and_is_reported() {
 }
 
 #[test]
-fn injected_error_clears_within_the_retry_budget() {
-    let clean = run(&["table1"], None);
-    assert_eq!(clean.code, Some(0), "{}", clean.stderr);
-
-    // Two injected transient faults, two retries: the third attempt
-    // succeeds and the output is byte-identical to an uninjected run.
-    let r = run(
-        &["all", "--max-retries", "2"],
-        Some("table1=err:device_fault:2"),
-    );
-    assert_eq!(r.code, Some(0), "{}", r.stderr);
-    assert!(
-        r.stdout.starts_with(&clean.stdout),
-        "retried point must render byte-identically"
-    );
-    assert!(r.stderr.contains("11 completed"), "{}", r.stderr);
-
-    // One retry is not enough for two injected faults.
-    let short = run(
-        &["all", "--max-retries", "1"],
-        Some("table1=err:device_fault:2"),
-    );
-    assert_eq!(short.code, Some(2), "{}", short.stderr);
-    assert!(short.stderr.contains("after 1 retry"), "{}", short.stderr);
-}
-
-#[test]
 fn malformed_err_injection_clause_is_rejected() {
-    let r = run(&["all"], Some("table1=err:gremlins"));
-    assert_eq!(r.code, Some(1), "{}", r.stderr);
-    assert!(r.stderr.contains("unknown error kind"), "{}", r.stderr);
+    for inject in ["table1=err:gremlins", "table1=err:device_fault:2"] {
+        let r = run(&["all"], Some(inject));
+        assert_eq!(r.code, Some(1), "{inject}: {}", r.stderr);
+        assert!(
+            r.stderr.contains("unknown error kind"),
+            "{inject}: {}",
+            r.stderr
+        );
+    }
 }

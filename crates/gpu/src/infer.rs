@@ -6,8 +6,7 @@
 //! exactly the gap FP8 KV caches and dataflow SRAM machines attack.
 
 use crate::chip::GpuSpec;
-use dabench_core::{max_admissible_batch, AdmissionProbe, InferModel};
-use dabench_model::InferenceWorkload;
+use dabench_core::InferModel;
 
 /// CUDA kernel-launch + scheduler overhead per decode step.
 const LAUNCH_OVERHEAD_S: f64 = 20e-6;
@@ -24,14 +23,6 @@ pub fn infer_model(spec: &GpuSpec) -> InferModel {
         kv_capacity_bytes: spec.hbm_bytes,
         step_overhead_s: LAUNCH_OVERHEAD_S,
     }
-}
-
-/// Probe the HBM admission wall for `workload`'s shape: the largest
-/// batch in `1..=limit` whose weights + KV cache fit HBM.
-#[must_use]
-pub fn admission_probe(spec: &GpuSpec, workload: &InferenceWorkload, limit: u64) -> AdmissionProbe {
-    let model = infer_model(spec);
-    max_admissible_batch(workload, limit, |_| model.clone())
 }
 
 #[cfg(test)]

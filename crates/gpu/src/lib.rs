@@ -36,7 +36,7 @@ mod parallelism;
 mod platform_impl;
 
 pub use chip::GpuSpec;
-pub use infer::{admission_probe, infer_model};
+pub use infer::infer_model;
 pub use parallelism::{megatron_throughput, GpuRun, MegatronConfig};
 
 /// A GPU cluster baseline platform.

@@ -115,12 +115,6 @@ impl<'g> NodeRef<'g> {
         self.g.topo.interner.resolve(self.g.topo.names[self.i])
     }
 
-    /// The interned name symbol.
-    #[must_use]
-    pub fn symbol(self) -> Symbol {
-        self.g.topo.names[self.i]
-    }
-
     /// Operator class.
     #[must_use]
     pub fn class(self) -> OpClass {
@@ -167,22 +161,6 @@ impl<'g> NodeRef<'g> {
     #[must_use]
     pub fn out_elems(self) -> u64 {
         self.g.costs[self.i].out_elems
-    }
-
-    /// Materialize an owned legacy [`Op`] (allocates the name).
-    #[must_use]
-    pub fn to_op(self) -> Op {
-        let c = self.cost();
-        Op {
-            name: self.name().to_owned(),
-            class: self.class(),
-            phase: self.phase(),
-            layer: self.layer(),
-            flops: c.flops,
-            params: c.params,
-            in_elems: c.in_elems,
-            out_elems: c.out_elems,
-        }
     }
 }
 
@@ -542,24 +520,6 @@ impl DataflowGraph {
         level
     }
 
-    /// FLOPs along the heaviest dependency path.
-    #[must_use]
-    pub fn critical_path_flops(&self) -> f64 {
-        let order = self.topological_order();
-        let mut best = vec![0f64; self.node_count()];
-        let mut max = 0.0f64;
-        for &NodeId(u) in &order {
-            let from_preds = self
-                .preds(NodeId(u))
-                .iter()
-                .map(|&NodeId(p)| best[p])
-                .fold(0.0, f64::max);
-            best[u] = from_preds + self.costs[u].flops;
-            max = max.max(best[u]);
-        }
-        max
-    }
-
     /// Check structural invariants: DAG-ness and that every node except the
     /// designated sources is reachable from a producer.
     ///
@@ -569,26 +529,6 @@ impl DataflowGraph {
     pub fn validate(&self) -> Result<(), GraphError> {
         self.try_topological_order()?;
         Ok(())
-    }
-
-    /// Sum of FLOPs restricted to a node set.
-    #[must_use]
-    pub fn subset_flops(&self, ids: &[NodeId]) -> f64 {
-        ids.iter().map(|&id| self.costs[id.0].flops).sum()
-    }
-
-    /// Number of edges crossing from `from` into `to` (data transferred
-    /// between two partitions), measured in producer-tensor elements.
-    #[must_use]
-    pub fn cut_elems(&self, from: &[NodeId], to: &[NodeId]) -> u64 {
-        let to_set: std::collections::HashSet<NodeId> = to.iter().copied().collect();
-        let mut elems = 0;
-        for &id in from {
-            if self.succs(id).iter().any(|s| to_set.contains(s)) {
-                elems += self.costs[id.0].out_elems;
-            }
-        }
-        elems
     }
 }
 
@@ -662,24 +602,9 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_takes_heavy_branch() {
-        let g = diamond();
-        // a(1) -> c(10) -> d(1) = 12.
-        assert!((g.critical_path_flops() - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn levels_of_diamond() {
         let g = diamond();
         assert_eq!(g.levels(), vec![0, 1, 1, 2]);
-    }
-
-    #[test]
-    fn cut_counts_producer_tensors() {
-        let g = diamond();
-        let cut = g.cut_elems(&[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
-        // a feeds c (8 elems) and b feeds d (8 elems).
-        assert_eq!(cut, 16);
     }
 
     #[test]
@@ -720,8 +645,6 @@ mod tests {
         assert_eq!(c.layer(), None);
         assert!((c.flops() - 10.0).abs() < 1e-12);
         assert_eq!(c.out_elems(), 8);
-        let op = c.to_op();
-        assert_eq!(op.name, "c");
     }
 
     #[test]

@@ -18,11 +18,7 @@
 //! - [`GraphBuilder`]: constructs the training-step graph of a model from
 //!   allocation-free operator records.
 //! - [`intern`]: the symbol table behind every node name.
-//! - [`partition`]: reusable contiguous/weighted partitioning utilities used
-//!   by the platform compilers.
-//! - [`analysis`]: graph statistics (depth, width, per-phase FLOPs).
-//! - [`fuse`]: a generic operator-fusion pass (the O1-style transform).
-//! - [`dot`]: Graphviz export for debugging.
+//! - [`partition`]: balanced contiguous partitioning (IPU pipeline stages).
 //!
 //! # Example
 //!
@@ -39,14 +35,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 mod builder;
-pub mod dot;
-pub mod fuse;
 mod graph;
 pub mod intern;
 pub mod partition;
 
-pub use builder::{class_nodes, layer_nodes, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use graph::{DataflowGraph, GraphError, NodeId, NodeRef, StepSummary};
 pub use intern::{Interner, Symbol};

@@ -1,9 +1,7 @@
-//! Generic partitioning utilities shared by the platform compilers.
+//! Contiguous partitioning of a weighted sequence.
 //!
-//! The RDU compiler cuts the operator graph into *sections*, the IPU
-//! compiler groups layers into *pipeline stages*. Both reduce to the same
-//! primitive: split a weighted sequence into contiguous groups subject to a
-//! balance or capacity objective.
+//! The IPU compiler groups layers into *pipeline stages*: split a weighted
+//! sequence into contiguous groups that balance the heaviest group.
 
 /// A contiguous partition of `0..n` into groups, stored as group boundaries.
 ///
@@ -12,7 +10,7 @@
 /// ```
 /// use dabench_graph::partition::Partition;
 /// let p = Partition::from_sizes(&[2, 3]).unwrap();
-/// assert_eq!(p.group_of(4), Some(1));
+/// assert_eq!(p.len(), 5);
 /// assert_eq!(p.groups().count(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,15 +53,6 @@ impl Partition {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Index of the group containing item `i`, if in range.
-    #[must_use]
-    pub fn group_of(&self, i: usize) -> Option<usize> {
-        if i >= self.len() {
-            return None;
-        }
-        Some(self.ends.partition_point(|&e| e <= i))
     }
 
     /// Iterate over `(start, end)` half-open ranges of each group.
@@ -158,38 +147,6 @@ pub fn balanced_contiguous(weights: &[f64], k: usize) -> Option<Partition> {
     Partition::from_sizes(&sizes)
 }
 
-/// Split `weights` into contiguous groups such that no group exceeds
-/// `capacity`, using first-fit. Items heavier than `capacity` get a group
-/// of their own (the caller decides whether that is an error).
-///
-/// # Example
-///
-/// ```
-/// use dabench_graph::partition::capacity_contiguous;
-/// let p = capacity_contiguous(&[3.0, 3.0, 3.0, 3.0], 6.0);
-/// assert_eq!(p.sizes(), vec![2, 2]);
-/// ```
-#[must_use]
-pub fn capacity_contiguous(weights: &[f64], capacity: f64) -> Partition {
-    let mut sizes = Vec::new();
-    let mut acc = 0.0;
-    let mut count = 0usize;
-    for &w in weights {
-        if count > 0 && acc + w > capacity {
-            sizes.push(count);
-            acc = w;
-            count = 1;
-        } else {
-            acc += w;
-            count += 1;
-        }
-    }
-    if count > 0 {
-        sizes.push(count);
-    }
-    Partition::from_sizes(&sizes).unwrap_or(Partition { ends: Vec::new() })
-}
-
 /// Maximum group weight of a partition over `weights`.
 #[must_use]
 pub fn bottleneck(p: &Partition, weights: &[f64]) -> f64 {
@@ -205,15 +162,6 @@ mod tests {
     #[test]
     fn from_sizes_rejects_zero() {
         assert!(Partition::from_sizes(&[1, 0, 2]).is_none());
-    }
-
-    #[test]
-    fn group_of_boundaries() {
-        let p = Partition::from_sizes(&[2, 2]).unwrap();
-        assert_eq!(p.group_of(0), Some(0));
-        assert_eq!(p.group_of(1), Some(0));
-        assert_eq!(p.group_of(2), Some(1));
-        assert_eq!(p.group_of(4), None);
     }
 
     #[test]
@@ -243,24 +191,5 @@ mod tests {
     fn balanced_invalid_k() {
         assert!(balanced_contiguous(&[1.0], 0).is_none());
         assert!(balanced_contiguous(&[1.0], 2).is_none());
-    }
-
-    #[test]
-    fn capacity_packs_greedily() {
-        let p = capacity_contiguous(&[4.0, 4.0, 4.0, 4.0, 4.0], 8.0);
-        assert_eq!(p.sizes(), vec![2, 2, 1]);
-    }
-
-    #[test]
-    fn capacity_oversized_item_isolated() {
-        let p = capacity_contiguous(&[1.0, 100.0, 1.0], 10.0);
-        assert_eq!(p.sizes(), vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn bottleneck_of_capacity_partition() {
-        let w = [4.0, 4.0, 4.0, 4.0, 4.0];
-        let p = capacity_contiguous(&w, 8.0);
-        assert!((bottleneck(&p, &w) - 8.0).abs() < 1e-12);
     }
 }

@@ -6,7 +6,7 @@
 //! chassis DDR at 180 GB/s — a 40× bandwidth drop, not a gradual slide.
 
 use crate::chip::{IpuCompilerParams, IpuSpec};
-use dabench_core::{max_admissible_batch, AdmissionProbe, InferModel};
+use dabench_core::InferModel;
 use dabench_model::InferenceWorkload;
 
 /// Build the serving model of one IPU for `workload`.
@@ -44,22 +44,6 @@ pub fn infer_model(
         kv_capacity_bytes: capacity,
         step_overhead_s: sync_chain,
     }
-}
-
-/// Probe the IPU's admission wall for `workload`'s shape: the largest
-/// batch in `1..=limit` that fits *some* memory level. The model is
-/// re-derived per candidate batch because the level choice (tile SRAM vs
-/// external DDR) is itself workload-dependent — the wall is the DDR
-/// capacity, but small shapes must still be checked against the level
-/// they would actually serve from.
-#[must_use]
-pub fn admission_probe(
-    spec: &IpuSpec,
-    params: &IpuCompilerParams,
-    workload: &InferenceWorkload,
-    limit: u64,
-) -> AdmissionProbe {
-    max_admissible_batch(workload, limit, |w| infer_model(spec, params, w))
 }
 
 #[cfg(test)]

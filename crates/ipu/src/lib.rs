@@ -49,7 +49,7 @@ pub use bsp::{
 };
 pub use chip::{IpuCompilerParams, IpuSpec};
 pub use degrade::surviving_devices;
-pub use infer::{admission_probe, infer_model};
+pub use infer::infer_model;
 pub use memory::{decoder_ipu_memory, embedding_ipu_memory, IpuMemoryUse};
 pub use pipeline::{pipeline_parallel, pipeline_with_allocation, PipelinePlan, StageLoad};
 

@@ -303,15 +303,6 @@ impl ModelConfig {
             + self.final_norm_parameter_count()
             + self.lm_head_parameter_count()
     }
-
-    /// Returns a copy with a different number of layers (paper-style sweep).
-    #[must_use]
-    pub fn with_layers(&self, num_layers: u64) -> Self {
-        let mut cfg = self.clone();
-        cfg.num_layers = num_layers;
-        cfg.name = format!("{}-l{num_layers}", self.name);
-        cfg
-    }
 }
 
 impl fmt::Display for ModelConfig {
@@ -522,14 +513,6 @@ mod tests {
         let p2 = ModelConfig::gpt2_probe(768, 2).parameter_count();
         let p3 = ModelConfig::gpt2_probe(768, 3).parameter_count();
         assert_eq!(p3 - p2, p2 - p1);
-    }
-
-    #[test]
-    fn with_layers_changes_only_layers() {
-        let base = ModelConfig::gpt2_small();
-        let deeper = base.with_layers(24);
-        assert_eq!(deeper.num_layers, 24);
-        assert_eq!(deeper.hidden_size, base.hidden_size);
     }
 
     #[test]

@@ -85,8 +85,7 @@ impl fmt::Display for BatchingMode {
 /// tokens one at a time with a KV cache.
 ///
 /// The KV cache may be stored at a narrower precision than the compute
-/// format (`kv_precision`), mirroring how [`crate::PrecisionPolicy`]
-/// distinguishes compute from master-copy storage for training.
+/// format (`kv_precision`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferenceWorkload {
     model: ModelConfig,

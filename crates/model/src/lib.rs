@@ -48,5 +48,5 @@ pub use activation::ActivationMemory;
 pub use config::{Activation, ModelConfig, ModelConfigBuilder, Normalization, PositionalEncoding};
 pub use inference::{BatchingMode, InferenceWorkload, InferenceWorkloadError, PhaseCost};
 pub use intensity::arithmetic_intensity;
-pub use precision::{Precision, PrecisionPolicy};
+pub use precision::Precision;
 pub use workload::TrainingWorkload;

@@ -146,13 +146,7 @@ pub struct Op {
     pub out_elems: u64,
 }
 
-impl Op {
-    /// Whether the op carries weights.
-    #[must_use]
-    pub fn has_params(&self) -> bool {
-        self.params > 0
-    }
-}
+impl Op {}
 
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -599,16 +593,6 @@ pub fn total_flops(ops: &[Op]) -> f64 {
     ops.iter().map(|o| o.flops).sum()
 }
 
-/// Sum of stored forward activations in elements — what must be kept live
-/// for the backward pass.
-#[must_use]
-pub fn stored_activation_elems(ops: &[Op]) -> u64 {
-    ops.iter()
-        .filter(|o| o.phase == Phase::Forward)
-        .map(|o| o.out_elems)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,14 +676,6 @@ mod tests {
             .map(|o| o.flops)
             .sum();
         assert!(matmul / total > 0.9);
-    }
-
-    #[test]
-    fn stored_activations_scale_with_batch() {
-        let cfg = ModelConfig::gpt2_probe(768, 2);
-        let a = stored_activation_elems(&training_step_ops(&cfg, 1, 256));
-        let b = stored_activation_elems(&training_step_ops(&cfg, 2, 256));
-        assert_eq!(b, 2 * a);
     }
 
     #[test]

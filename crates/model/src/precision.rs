@@ -71,105 +71,6 @@ impl fmt::Display for Precision {
     }
 }
 
-/// A training-time precision policy: which format carries the bulk of the
-/// compute, and whether FP32 master copies are kept (mixed precision).
-///
-/// Table IV of the paper compares "Full" against "Mixed" policies on the IPU
-/// and RDU, and FP16 against CB16 on the WSE. [`PrecisionPolicy`] captures
-/// that axis independently of the element format.
-///
-/// # Example
-///
-/// ```
-/// use dabench_model::{Precision, PrecisionPolicy};
-/// let mixed = PrecisionPolicy::mixed(Precision::Bf16);
-/// assert!(mixed.is_mixed());
-/// assert_eq!(mixed.compute(), Precision::Bf16);
-/// // Mixed precision keeps an FP32 master copy, so optimizer state is wider.
-/// assert_eq!(mixed.master_bytes_per_param(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PrecisionPolicy {
-    compute: Precision,
-    mixed: bool,
-}
-
-impl PrecisionPolicy {
-    /// Pure single-format training in `compute` precision.
-    #[must_use]
-    pub const fn pure(compute: Precision) -> Self {
-        Self {
-            compute,
-            mixed: false,
-        }
-    }
-
-    /// Mixed-precision training: compute in `compute`, FP32 master weights.
-    #[must_use]
-    pub const fn mixed(compute: Precision) -> Self {
-        Self {
-            compute,
-            mixed: true,
-        }
-    }
-
-    /// Full FP32 training ("Full" column of Table IV).
-    #[must_use]
-    pub const fn full() -> Self {
-        Self::pure(Precision::Fp32)
-    }
-
-    /// The format arithmetic is performed in.
-    #[must_use]
-    pub const fn compute(self) -> Precision {
-        self.compute
-    }
-
-    /// Whether FP32 master weights are kept alongside low-precision compute.
-    #[must_use]
-    pub const fn is_mixed(self) -> bool {
-        self.mixed
-    }
-
-    /// Bytes per parameter for the master copy used by the optimizer.
-    #[must_use]
-    pub const fn master_bytes_per_param(self) -> u64 {
-        if self.mixed {
-            4
-        } else {
-            self.compute.bytes_per_element()
-        }
-    }
-
-    /// Bytes per parameter of the working (compute) copy of the weights.
-    #[must_use]
-    pub const fn working_bytes_per_param(self) -> u64 {
-        self.compute.bytes_per_element()
-    }
-
-    /// Human-readable label, e.g. `"mixed(bf16)"` or `"fp32"`.
-    #[must_use]
-    pub fn label(self) -> String {
-        if self.mixed {
-            format!("mixed({})", self.compute)
-        } else {
-            self.compute.as_str().to_owned()
-        }
-    }
-}
-
-impl Default for PrecisionPolicy {
-    fn default() -> Self {
-        Self::pure(Precision::Fp16)
-    }
-}
-
-impl fmt::Display for PrecisionPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,26 +99,8 @@ mod tests {
     }
 
     #[test]
-    fn mixed_policy_keeps_fp32_master() {
-        let p = PrecisionPolicy::mixed(Precision::Fp16);
-        assert_eq!(p.master_bytes_per_param(), 4);
-        assert_eq!(p.working_bytes_per_param(), 2);
-    }
-
-    #[test]
-    fn pure_policy_master_matches_compute() {
-        let p = PrecisionPolicy::pure(Precision::Bf16);
-        assert_eq!(p.master_bytes_per_param(), 2);
-        assert!(!p.is_mixed());
-    }
-
-    #[test]
     fn labels_are_stable() {
-        assert_eq!(PrecisionPolicy::full().label(), "fp32");
-        assert_eq!(
-            PrecisionPolicy::mixed(Precision::Bf16).label(),
-            "mixed(bf16)"
-        );
+        assert_eq!(format!("{}", Precision::Fp32), "fp32");
         assert_eq!(format!("{}", Precision::Cb16), "cb16");
     }
 }

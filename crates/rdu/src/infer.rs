@@ -6,8 +6,7 @@
 //! the whole cache through the narrowest pipe of the four platforms.
 
 use crate::chip::{RduCompilerParams, RduSpec};
-use dabench_core::{max_admissible_batch, AdmissionProbe, InferModel};
-use dabench_model::InferenceWorkload;
+use dabench_core::InferModel;
 
 /// Build the serving model of one RDU.
 #[must_use]
@@ -21,19 +20,6 @@ pub fn infer_model(spec: &RduSpec, params: &RduCompilerParams) -> InferModel {
         kv_capacity_bytes: spec.ddr_capacity_bytes,
         step_overhead_s: params.invocation_overhead_s,
     }
-}
-
-/// Probe the DDR admission wall for `workload`'s shape: the largest
-/// batch in `1..=limit` whose weights + KV cache fit the 512 GB DDR.
-#[must_use]
-pub fn admission_probe(
-    spec: &RduSpec,
-    params: &RduCompilerParams,
-    workload: &InferenceWorkload,
-    limit: u64,
-) -> AdmissionProbe {
-    let model = infer_model(spec, params);
-    max_admissible_batch(workload, limit, |_| model.clone())
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ mod traffic;
 
 pub use chip::{RduCompilerParams, RduSpec};
 pub use degrade::degraded_spec;
-pub use infer::{admission_probe, infer_model};
+pub use infer::infer_model;
 pub use modes::{o3_ratios, partition, CompilationMode};
 pub use schedule::{execute_sections, RduExecution, SectionTiming};
 pub use section::{OpAssignment, Section};

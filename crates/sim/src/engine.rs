@@ -46,12 +46,6 @@ impl Resource {
         Ok(Self { name, capacity })
     }
 
-    /// Resource name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Concurrent slots.
     #[must_use]
     pub fn capacity(&self) -> u32 {
@@ -123,30 +117,6 @@ impl TaskSpec {
     pub fn after_all(mut self, deps: impl IntoIterator<Item = TaskId>) -> Self {
         self.deps.extend(deps);
         self
-    }
-
-    /// Task name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Service duration in seconds.
-    #[must_use]
-    pub fn duration(&self) -> f64 {
-        self.duration
-    }
-
-    /// Bound resource index.
-    #[must_use]
-    pub fn resource(&self) -> usize {
-        self.resource
-    }
-
-    /// Declared dependencies.
-    #[must_use]
-    pub fn deps(&self) -> &[TaskId] {
-        &self.deps
     }
 }
 
@@ -277,46 +247,13 @@ impl Simulation {
         self.tasks.len() - 1
     }
 
-    /// Number of registered tasks.
-    #[must_use]
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// The registered tasks, in id order.
-    #[must_use]
-    pub fn tasks(&self) -> &[TaskSpec] {
-        &self.tasks
-    }
-
-    /// The registered resources, in index order.
-    #[must_use]
-    pub fn resources(&self) -> &[Resource] {
-        &self.resources
-    }
-
     /// Execute the simulation to completion.
-    ///
-    /// Recorded as an `execute`-phase span (`sim.run`) with `sim.tasks` /
-    /// `sim.makespan_s` counters when the observability recorder is on.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] on invalid resource/dependency references or if
     /// the dependency graph deadlocks.
     pub fn run(&self) -> Result<SimResult, SimError> {
-        use dabench_core::obs;
-        obs::span(obs::Phase::Execute, "sim.run", || {
-            let result = self.run_inner();
-            if let Ok(res) = &result {
-                obs::counter("sim.tasks", self.tasks.len() as f64);
-                obs::counter("sim.makespan_s", res.makespan());
-            }
-            result
-        })
-    }
-
-    fn run_inner(&self) -> Result<SimResult, SimError> {
         let n = self.tasks.len();
         let nr = self.resources.len();
 

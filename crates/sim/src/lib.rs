@@ -8,10 +8,11 @@
 //! for finite-capacity [`Resource`]s, and the engine reports when
 //! everything started and finished.
 //!
-//! The platform models in `dabench-wse` / `dabench-rdu` / `dabench-ipu` use
-//! it for the paper's *runtime* metrics (per-task throughput feeding the
-//! load-imbalance computation, pipeline steady-state throughput) while
-//! their analytic compilers supply the *compile-time* metrics.
+//! The platform models in `dabench-wse` / `dabench-ipu` use its
+//! closed-form pipeline algebra ([`steady_state_analysis`]) for the
+//! paper's *runtime* metrics, and the event engine is the reference that
+//! algebra is cross-validated against. The `degrade` modules price fault
+//! recovery with [`RetryPolicy`] and [`CheckpointModel`].
 //!
 //! # Example
 //!
@@ -31,14 +32,11 @@
 #![warn(missing_docs)]
 
 mod engine;
-pub mod faulty;
+mod faulty;
 mod pipeline;
 mod stats;
-pub mod trace;
 
 pub use engine::{Resource, SimError, Simulation, TaskId, TaskSpec};
-pub use faulty::{
-    run_with_faults, CheckpointModel, FaultyRun, RetryPolicy, RetryRecord, TaskFault,
-};
+pub use faulty::{CheckpointModel, RetryPolicy};
 pub use pipeline::{steady_state_analysis, PipelineReport, PipelineStage};
 pub use stats::{SimResult, TaskTiming};

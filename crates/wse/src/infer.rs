@@ -7,8 +7,7 @@
 //! hit a hard wall long before a DDR-backed machine would.
 
 use crate::chip::{WseCompilerParams, WseSpec};
-use dabench_core::{max_admissible_batch, AdmissionProbe, InferModel};
-use dabench_model::InferenceWorkload;
+use dabench_core::InferModel;
 
 /// Per-kernel-launch overhead of the spatial pipeline: once configured,
 /// tokens stream through the fabric with no host round-trip, so the
@@ -27,19 +26,6 @@ pub fn infer_model(spec: &WseSpec, params: &WseCompilerParams) -> InferModel {
         kv_capacity_bytes: spec.total_sram_bytes(),
         step_overhead_s: STEP_OVERHEAD_S,
     }
-}
-
-/// Probe the wafer's SRAM admission wall for `workload`'s shape: the
-/// largest batch in `1..=limit` whose weights + KV cache fit PE SRAM.
-#[must_use]
-pub fn admission_probe(
-    spec: &WseSpec,
-    params: &WseCompilerParams,
-    workload: &InferenceWorkload,
-    limit: u64,
-) -> AdmissionProbe {
-    let model = infer_model(spec, params);
-    max_admissible_batch(workload, limit, |_| model.clone())
 }
 
 #[cfg(test)]

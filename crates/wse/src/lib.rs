@@ -46,17 +46,15 @@ mod placement;
 mod platform_impl;
 mod runtime;
 mod scale;
-mod streaming;
 
 pub use chip::{WseCompilerParams, WseSpec};
 pub use compile::{compile, CompiledKernel, WseCompilation, WseMemoryReport};
 pub use degrade::compile_degraded;
-pub use infer::{admission_probe, infer_model};
+pub use infer::infer_model;
 pub use kernel::{kernels_of, Kernel, KernelKind};
 pub use placement::{healthy_runs, PlacedRect, Placement};
 pub use runtime::{execute, WseExecution};
 pub use scale::{data_parallel, weight_streaming, ReplicaPlan, WeightStreamingRun};
-pub use streaming::{streaming_schedule, try_streaming_schedule, StreamedLayer, StreamingSchedule};
 
 /// The Cerebras WSE-2 platform model.
 ///
@@ -67,7 +65,7 @@ pub struct Wse {
     spec: WseSpec,
     params: WseCompilerParams,
     // Precomputed at construction so memo-cache lookups allocate nothing
-    // (see `Memoizable::cache_key` and docs/benchmarking.md).
+    // (see `Memoizable::cache_key`; CHANGES.md, PR 5, has the measurement).
     cache_key: dabench_core::CacheKey,
 }
 
