@@ -146,8 +146,6 @@ pub struct Op {
     pub out_elems: u64,
 }
 
-impl Op {}
-
 impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} [{:.3e} FLOPs]", self.name, self.flops)
